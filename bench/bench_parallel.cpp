@@ -16,11 +16,7 @@
 /// between the two configurations and aborts on any mismatch: a speedup
 /// bought with a different answer is a bug, not a result.
 ///
-/// Each benchmark is additionally timed through the summary engine
-/// (--engine=summary), whose parallel path schedules independent
-/// call-graph SCCs on the pool; its fingerprint must match the global
-/// engine's, and the JSON records summary_serial_ms/summary_parallel_ms
-/// per row plus cores_available in the header.
+/// The JSON header also records cores_available.
 ///
 /// On a single-core host the "parallel" configuration degenerates to the
 /// pool scheduling the same work on one worker; the JSON records the
@@ -74,11 +70,8 @@ struct ConfigResult {
 
 /// One full analysis of \p B at \p Jobs workers; parses fresh per
 /// iteration (the preset and heap cloning mutate the module).
-/// \p Engine selects the definedness resolution: the global fixpoint or
-/// the summary engine, whose independent SCCs ride the same pool.
 ConfigResult runConfig(const workload::BenchmarkProgram &B, unsigned Jobs,
-                       unsigned Iters,
-                       core::EngineKind Engine = core::EngineKind::Global) {
+                       unsigned Iters) {
   ConfigResult R;
   for (unsigned It = 0; It != Iters; ++It) {
     auto M = workload::loadBenchmark(B);
@@ -91,7 +84,6 @@ ConfigResult runConfig(const workload::BenchmarkProgram &B, unsigned Jobs,
     core::UsherOptions Opts;
     Opts.Variant = core::ToolVariant::UsherFull;
     Opts.Jobs = Jobs;
-    Opts.Engine = Engine;
     core::UsherResult UR = core::runUsher(*M, Opts);
     auto T1 = std::chrono::steady_clock::now();
 
@@ -121,18 +113,8 @@ struct BenchRow {
   std::string Name;
   ConfigResult Serial;
   ConfigResult Parallel;
-  /// Same pipeline with --engine=summary: its per-SCC path schedules
-  /// independent call-graph components on the pool instead of splitting
-  /// one global worklist.
-  ConfigResult SummarySerial;
-  ConfigResult SummaryParallel;
   double speedup() const {
     return Parallel.AnalyzeMs > 0 ? Serial.AnalyzeMs / Parallel.AnalyzeMs : 0;
-  }
-  double summarySpeedup() const {
-    return SummaryParallel.AnalyzeMs > 0
-               ? SummarySerial.AnalyzeMs / SummaryParallel.AnalyzeMs
-               : 0;
   }
 };
 
@@ -172,10 +154,10 @@ int main(int argc, char **argv) {
 
   std::printf("parallel configuration: %u workers (hardware: %u)\n", Jobs,
               ThreadPool::defaultJobs());
-  std::printf("%-12s %12s %12s %8s %8s\n", "benchmark", "serial_ms",
-              "parallel_ms", "speedup", "summary");
+  std::printf("%-12s %12s %12s %8s\n", "benchmark", "serial_ms",
+              "parallel_ms", "speedup");
   std::vector<BenchRow> Rows;
-  double MinSpeedup = 1e100, GeoAcc = 1.0, SummaryGeoAcc = 1.0;
+  double MinSpeedup = 1e100, GeoAcc = 1.0;
   for (size_t I = 0; I != Count; ++I) {
     const workload::BenchmarkProgram &B = Suite[I];
     BenchRow Row;
@@ -188,31 +170,15 @@ int main(int argc, char **argv) {
                    B.Name.c_str(), Jobs);
       std::abort();
     }
-    Row.SummarySerial = runConfig(B, 1, Iters, core::EngineKind::Summary);
-    Row.SummaryParallel = runConfig(B, Jobs, Iters, core::EngineKind::Summary);
-    // The summary engine must agree with itself across pool sizes AND
-    // with the global engine: same plan, same VFG, same redirects.
-    if (!(Row.SummarySerial.FP == Row.SummaryParallel.FP) ||
-        !(Row.SummarySerial.FP == Row.Serial.FP)) {
-      std::fprintf(stderr,
-                   "FATAL: %s: --engine=summary diverged from global\n",
-                   B.Name.c_str());
-      std::abort();
-    }
-    std::printf("%-12s %12.3f %12.3f %7.2fx %7.2fx\n", Row.Name.c_str(),
-                Row.Serial.AnalyzeMs, Row.Parallel.AnalyzeMs, Row.speedup(),
-                Row.summarySpeedup());
+    std::printf("%-12s %12.3f %12.3f %7.2fx\n", Row.Name.c_str(),
+                Row.Serial.AnalyzeMs, Row.Parallel.AnalyzeMs, Row.speedup());
     if (Row.speedup() < MinSpeedup)
       MinSpeedup = Row.speedup();
     GeoAcc *= Row.speedup();
-    SummaryGeoAcc *= Row.summarySpeedup();
     Rows.push_back(std::move(Row));
   }
   double Geomean = Rows.empty() ? 0 : std::pow(GeoAcc, 1.0 / Rows.size());
-  double SummaryGeomean =
-      Rows.empty() ? 0 : std::pow(SummaryGeoAcc, 1.0 / Rows.size());
-  std::printf("min speedup %.2fx, geomean %.2fx (summary engine %.2fx)%s\n",
-              MinSpeedup, Geomean, SummaryGeomean,
+  std::printf("min speedup %.2fx, geomean %.2fx%s\n", MinSpeedup, Geomean,
               Smoke ? " (smoke sizes; not meaningful)" : "");
 
   std::FILE *F = std::fopen(OutPath.c_str(), "w");
@@ -233,15 +199,10 @@ int main(int argc, char **argv) {
     const BenchRow &Row = Rows[I];
     std::fprintf(F, "    {\"name\": \"%s\", \"serial_ms\": %.4f, "
                     "\"parallel_ms\": %.4f, \"speedup\": %.4f, "
-                    "\"summary_serial_ms\": %.4f, "
-                    "\"summary_parallel_ms\": %.4f, "
-                    "\"summary_speedup\": %.4f, "
                     "\"vfg_nodes\": %llu, \"vfg_edges\": %llu, "
                     "\"checks\": %llu}%s\n",
                  Row.Name.c_str(), Row.Serial.AnalyzeMs,
                  Row.Parallel.AnalyzeMs, Row.speedup(),
-                 Row.SummarySerial.AnalyzeMs, Row.SummaryParallel.AnalyzeMs,
-                 Row.summarySpeedup(),
                  static_cast<unsigned long long>(Row.Serial.FP.VFGNodes),
                  static_cast<unsigned long long>(Row.Serial.FP.VFGEdges),
                  static_cast<unsigned long long>(Row.Serial.FP.Checks),
@@ -249,9 +210,8 @@ int main(int argc, char **argv) {
   }
   std::fprintf(F, "  ],\n");
   std::fprintf(F, "  \"summary\": {\"min_speedup\": %.4f, "
-                  "\"geomean_speedup\": %.4f, "
-                  "\"summary_geomean_speedup\": %.4f}\n}\n",
-               MinSpeedup, Geomean, SummaryGeomean);
+                  "\"geomean_speedup\": %.4f}\n}\n",
+               MinSpeedup, Geomean);
   std::fclose(F);
   std::printf("wrote %s\n", OutPath.c_str());
   return 0;

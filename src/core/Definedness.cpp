@@ -197,7 +197,7 @@ Definedness::Definedness(
   // state explosion — on overflow the component saturates to the
   // universal (empty) context, which over-approximates every other
   // context.
-  constexpr size_t MaxContextsPerRep = Definedness::MaxContextsPerRep;
+  constexpr size_t MaxContextsPerRep = 64;
   std::vector<std::unordered_set<uint64_t>> Seen(N);
   std::vector<uint8_t> Saturated(N, 0);
 

@@ -66,19 +66,6 @@ public:
                   *Redirects = nullptr,
               Budget *B = nullptr);
 
-  /// Wraps a bottom set computed elsewhere (the summary engine produces
-  /// one warning-set-equivalent to this class's fixpoint). Downstream
-  /// phases only consult Gamma through the query interface, so they
-  /// cannot tell the engines apart.
-  Definedness(BitSet PrecomputedBottom, bool WasPessimized)
-      : Bottom(std::move(PrecomputedBottom)), Pessimized(WasPessimized) {}
-
-  /// Distinct contexts explored per condensed component before the
-  /// component saturates to the universal context. The summary engine
-  /// mirrors this cap to detect (and delegate on) exactly the runs where
-  /// saturation would make its exact answer diverge from the widened one.
-  static constexpr size_t MaxContextsPerRep = 64;
-
   /// True if \p Node may carry an undefined value (Gamma = bottom).
   bool mayBeUndefined(uint32_t Node) const { return Bottom.test(Node); }
 

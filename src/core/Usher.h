@@ -27,7 +27,6 @@
 #include "analysis/DemandVFA.h"
 #include "analysis/ModRef.h"
 #include "analysis/PointerAnalysis.h"
-#include "analysis/SummaryEngine.h"
 #include "core/Definedness.h"
 #include "core/Instrumentation.h"
 #include "core/InstrumentationPlan.h"
@@ -54,18 +53,6 @@ enum class ToolVariant { MSanFull, UsherTL, UsherTLAT, UsherOptI, UsherFull };
 /// Returns the display name used in tables ("MSAN", "USHER-TL", ...).
 const char *toolVariantName(ToolVariant V);
 
-/// Which interprocedural definedness engine resolves Gamma.
-///  - Global: the whole-program (node, context) fixpoint of Section 3.3
-///    (core::Definedness), the reference engine.
-///  - Summary: the bottom-up per-function summary engine
-///    (analysis::SummaryEngine) — warning-set equivalent, cacheable and
-///    SCC-parallel; configurations it cannot answer exactly (k >= 2,
-///    context saturation) silently delegate back to Global.
-enum class EngineKind { Global, Summary };
-
-/// Returns "global" / "summary".
-const char *engineKindName(EngineKind E);
-
 /// Pipeline configuration.
 struct UsherOptions {
   ToolVariant Variant = ToolVariant::UsherFull;
@@ -83,12 +70,6 @@ struct UsherOptions {
   /// 0 resolves to the hardware concurrency. Every value produces
   /// byte-identical results — parallel phases merge by ordered reduction.
   unsigned Jobs = 1;
-  /// Definedness engine selection (--engine=global|summary).
-  EngineKind Engine = EngineKind::Global;
-  /// Optional content-hash summary cache for EngineKind::Summary. Owned
-  /// by the caller (usher-serve shares one across requests and plugs its
-  /// SnapshotStore in as the persistence layer). Null computes fresh.
-  analysis::SummaryCache *SummaryCache = nullptr;
   /// Additional sanitizer clients to plan over the same VFG, in request
   /// order (--client=). ClientKind::UUV entries are ignored here: the UUV
   /// plan is UsherResult::Plan itself. Empty (the default) runs the
@@ -150,10 +131,6 @@ struct UsherStatistics {
   /// Constraint-solver engine counters from the (possibly retried)
   /// pointer analysis: propagations, cycle collapses, budget charges.
   analysis::SolverStatistics Solver;
-  /// Summary-engine counters (all zero under EngineKind::Global). When
-  /// Opt II re-resolves on the redirected graph, the counters aggregate
-  /// both resolutions.
-  analysis::SummaryEngineStats Summary;
   /// Wall-clock seconds per pipeline phase.
   std::map<std::string, double> PhaseSeconds;
 };

@@ -47,7 +47,6 @@ OracleOptions onlyOracle(OracleKind K, const OracleOptions &Base) {
   Only.CheckDiagnosis = K == OracleKind::DiagnosisSoundness;
   Only.CheckDegradation = K == OracleKind::DegradationSoundness;
   Only.CheckServe = K == OracleKind::ServeEquivalence;
-  Only.CheckSummary = K == OracleKind::SummaryEquivalence;
   Only.CheckQuery = K == OracleKind::QueryEquivalence;
   Only.CheckClients = K == OracleKind::ClientConsistency;
   return Only;

@@ -7,7 +7,7 @@
 ///
 /// \file
 /// The campaign driver: a coverage-guided loop over TinyC programs that
-/// evaluates the six differential oracles (fuzz/Oracles.h) on every
+/// evaluates the seven differential oracles (fuzz/Oracles.h) on every
 /// valid input and minimizes any divergence with the hierarchical reducer
 /// (fuzz/Reducer.h).
 ///

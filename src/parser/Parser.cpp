@@ -16,6 +16,7 @@
 #include <cstdlib>
 #include <map>
 #include <set>
+#include <unordered_map>
 
 using namespace usher;
 using namespace usher::parser;
@@ -98,6 +99,15 @@ private:
   bool parseOperand(Operand &Out);
   bool parseBinOpcode(BinOpcode &Out);
 
+  Function *findFunction(const std::string &Name) const {
+    auto It = FunctionsByName.find(Name);
+    return It == FunctionsByName.end() ? nullptr : It->second;
+  }
+  MemObject *findGlobal(const std::string &Name) const {
+    auto It = GlobalsByName.find(Name);
+    return It == GlobalsByName.end() ? nullptr : It->second;
+  }
+
   Variable *resolveOrCreateDef(const std::string &Name);
   BasicBlock *lookupLabel(const std::string &Name);
   void startBlock(BasicBlock *BB);
@@ -108,6 +118,12 @@ private:
 
   std::unique_ptr<ir::Module> M;
   std::unique_ptr<ir::IRBuilder> Builder;
+  // Name indices over M, filled where functions and globals are created.
+  // Module::findFunction/findGlobal are linear scans, and names resolve
+  // once per statement and operand. The index lives here rather than in
+  // Module because the program linker renames symbols after parsing.
+  std::unordered_map<std::string, Function *> FunctionsByName;
+  std::unordered_map<std::string, MemObject *> GlobalsByName;
 
   // Per-function parsing state.
   Function *CurFn = nullptr;
@@ -135,11 +151,12 @@ void ParserImpl::scanTopLevel() {
         break;
       }
       std::string Name = advance().Text;
-      if (M->findFunction(Name)) {
+      if (findFunction(Name)) {
         error("redefinition of function '" + Name + "'");
         break;
       }
       Function *F = M->createFunction(Name);
+      FunctionsByName.emplace(Name, F);
       if (!expect(TokenKind::LParen, "'('"))
         break;
       if (!check(TokenKind::RParen)) {
@@ -223,12 +240,14 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
     error("global '" + Name + "' has invalid size");
     return;
   }
-  if (M->findGlobal(Name)) {
+  if (findGlobal(Name)) {
     error("redefinition of global '" + Name + "'");
     return;
   }
-  M->createObject(Name, Region::Global, static_cast<unsigned>(Size),
-                  Initialized, IsArray);
+  GlobalsByName.emplace(Name,
+                        M->createObject(Name, Region::Global,
+                                        static_cast<unsigned>(Size),
+                                        Initialized, IsArray));
 }
 
 ir::BasicBlock *ParserImpl::lookupLabel(const std::string &Name) {
@@ -255,7 +274,7 @@ ir::Variable *ParserImpl::resolveOrCreateDef(const std::string &Name) {
   }
   if (Variable *V = CurFn->findVariable(Name))
     return V;
-  if (M->findGlobal(Name)) {
+  if (findGlobal(Name)) {
     error("cannot assign to global '" + Name +
           "' directly; store through a pointer instead");
     return nullptr;
@@ -280,7 +299,7 @@ bool ParserImpl::parseOperand(Operand &Out) {
       Out = Operand::var(V);
       return true;
     }
-    if (MemObject *G = M->findGlobal(Name)) {
+    if (MemObject *G = findGlobal(Name)) {
       advance();
       Out = Operand::global(G);
       return true;
@@ -402,7 +421,7 @@ void ParserImpl::parseStatement() {
         error("'" + Name + "' is reserved and cannot be declared");
         return recover();
       }
-      if (CurFn->findVariable(Name) || M->findGlobal(Name)) {
+      if (CurFn->findVariable(Name) || findGlobal(Name)) {
         error("redeclaration of '" + Name + "'");
         return recover();
       }
@@ -484,7 +503,7 @@ void ParserImpl::parseStatement() {
   // Bare call: IDENT '(' args ')' ';'.
   if (check(TokenKind::Ident) && peek(1).is(TokenKind::LParen)) {
     std::string Callee = advance().Text;
-    Function *F = M->findFunction(Callee);
+    Function *F = findFunction(Callee);
     if (!F) {
       error("call to undefined function '" + Callee + "'");
       return recover();
@@ -609,9 +628,9 @@ void ParserImpl::parseStatement() {
 
     // RHS: call.
     if (check(TokenKind::Ident) && peek(1).is(TokenKind::LParen) &&
-        M->findFunction(peek().Text)) {
+        findFunction(peek().Text)) {
       std::string Callee = advance().Text;
-      Function *F = M->findFunction(Callee);
+      Function *F = findFunction(Callee);
       advance(); // '('
       std::vector<Operand> Args;
       if (!check(TokenKind::RParen)) {
@@ -714,7 +733,7 @@ void ParserImpl::parseTopLevel() {
     if (peek().isKeyword("func")) {
       advance();
       std::string Name = advance().Text; // validated in pass 1
-      Function *F = M->findFunction(Name);
+      Function *F = findFunction(Name);
       // Skip the parameter list (created in pass 1).
       while (!check(TokenKind::LBrace) && !check(TokenKind::Eof))
         advance();

@@ -49,7 +49,6 @@ bool setNonBlocking(int Fd) {
 Daemon::Daemon(DaemonOptions O) : Opts(std::move(O)) {
   SessionOptions SO;
   SO.SnapshotDir = Opts.SnapshotDir;
-  SO.Engine = Opts.Engine;
   Sess = std::make_unique<Session>(SO);
   Pool = std::make_unique<ThreadPool>(std::max(1u, Opts.Workers));
 }

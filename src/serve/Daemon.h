@@ -62,8 +62,6 @@ struct DaemonOptions {
   uint64_t QueueLimit = 8;
   /// Backoff hint carried in RETRY_AFTER replies.
   uint32_t RetryAfterMs = 50;
-  /// Definedness engine for analysis requests (--engine=global|summary).
-  core::EngineKind Engine = core::EngineKind::Global;
 };
 
 class Daemon {

@@ -21,24 +21,7 @@ using namespace usher;
 using namespace usher::serve;
 
 Session::Session(SessionOptions O)
-    : Opts(std::move(O)), Store(Opts.SnapshotDir) {
-  // Summary records live in the same snapshot store as reply sections,
-  // behind a salt so the key spaces cannot collide. The store's record
-  // framing (magic, version, length, CRC) is what makes a torn or stale
-  // on-disk summary a miss instead of garbage input to the engine.
-  const uint64_t Salt = SnapshotStore::hashBytes("summary-cache-v1");
-  SummaryCache.setPersistence(
-      [this, Salt](uint64_t Key, std::string &Payload) {
-        std::optional<std::string> E = Store.load(SnapshotStore::mix(Salt, Key));
-        if (!E)
-          return false;
-        Payload = std::move(*E);
-        return true;
-      },
-      [this, Salt](uint64_t Key, const std::string &Payload) {
-        Store.save(SnapshotStore::mix(Salt, Key), Payload);
-      });
-}
+    : Opts(std::move(O)), Store(Opts.SnapshotDir) {}
 
 namespace {
 
@@ -226,13 +209,7 @@ Reply Session::handleAnalysis(const Request &Rq) {
 
   core::UsherOptions UO;
   UO.Jobs = Opts.Jobs;
-  UO.Engine = Opts.Engine;
   UO.Clients = Clients;
-  // Budgeted/faulted requests skip the summary cache for the same reason
-  // they skip the reply snapshots: the caller asked to observe resource
-  // exhaustion, and warm summaries would move where it lands.
-  if (Cacheable && Opts.Engine == core::EngineKind::Summary)
-    UO.SummaryCache = &SummaryCache;
   UO.Limits.PhaseDeadlineMs = Rq.DeadlineMs;
   UO.Limits.MaxStepsPerPhase = Rq.BudgetSteps;
   if (!Rq.FaultSpec.empty()) {
@@ -459,10 +436,6 @@ void Session::printStatusJson(raw_ostream &OS, const DaemonStatus &DS) const {
      << ", \"hits\": " << SS.Hits << ", \"misses\": " << SS.Misses
      << ", \"corrupt_discarded\": " << SS.CorruptDiscarded
      << ", \"write_failures\": " << SS.WriteFailures << "},\n";
-  const analysis::SummaryCache::Stats SumS = SummaryCache.stats();
-  OS << "  \"summary\": {\"engine\": \"" << core::engineKindName(Opts.Engine)
-     << "\", \"hits\": " << SumS.Hits << ", \"misses\": " << SumS.Misses
-     << ", \"stale_discarded\": " << SumS.StaleDiscarded << "},\n";
   OS << "  \"daemon\": {\"queue_depth\": " << DS.QueueDepth
      << ", \"queue_limit\": " << DS.QueueLimit << ", \"shed\": " << DS.Shed
      << ", \"dropped_replies\": " << DS.DroppedReplies

@@ -168,6 +168,26 @@ TEST(FaultSpec, RejectsMalformedSpecs) {
   EXPECT_NE(Err.find("missing step count"), std::string::npos);
   EXPECT_FALSE(parseFaultSpec("pta@x7", &Err).has_value());
   EXPECT_NE(Err.find("non-numeric"), std::string::npos);
+  // UINT64_MAX + 1 must not wrap to step 0, which would exhaust the phase
+  // on arm and degrade a clean run.
+  EXPECT_FALSE(parseFaultSpec("pta@18446744073709551616", &Err).has_value());
+  EXPECT_NE(Err.find("out-of-range step count"), std::string::npos);
+  std::optional<FaultPlan> P = parseFaultSpec("pta@18446744073709551615");
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(P->AtStep, UINT64_MAX);
+}
+
+TEST(FaultSpec, RejectsOverflowingHitOrdinal) {
+  std::string Err;
+  EXPECT_FALSE(
+      parseIoFaultSpec("snapshot-write@18446744073709551617", &Err)
+          .has_value());
+  EXPECT_NE(Err.find("out-of-range hit ordinal"), std::string::npos);
+  std::optional<IoFaultSpec> P =
+      parseIoFaultSpec("snapshot-write@18446744073709551615:once");
+  ASSERT_TRUE(P.has_value());
+  EXPECT_EQ(P->AtHit, UINT64_MAX);
+  EXPECT_TRUE(P->Once);
 }
 
 //===----------------------------------------------------------------------===//

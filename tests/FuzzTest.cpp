@@ -8,7 +8,7 @@
 /// \file
 /// Unit and property tests for src/fuzz/: coverage counters, the
 /// interpreter's edge-coverage feedback, the text-level mutation API, the
-/// six differential oracles (including a replay of the minimized
+/// seven differential oracles (including a replay of the minimized
 /// near-miss corpus in tests/inputs/fuzz/), the hierarchical reducer's
 /// shrink guarantee, and byte-identical same-seed campaign reports.
 ///

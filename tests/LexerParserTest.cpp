@@ -113,10 +113,19 @@ TEST(Parser, ImplicitReturnAtFunctionEnd) {
 
 TEST(Parser, ForwardFunctionReferences) {
   ParseResult R = parseModule(R"(
-    func main() { x = helper(3); ret x; }
+    func main() { helper(1); x = helper(3); ret x; }
     func helper(n) { m = n + 1; ret m; }
   )");
   ASSERT_TRUE(R.succeeded()) << R.Errors.front();
+  // Both the bare and the assigned call bind to the later definition.
+  const ir::Function *Helper = R.M->findFunction("helper");
+  unsigned Calls = 0;
+  for (const auto &I : R.M->findFunction("main")->getEntry()->instructions())
+    if (const auto *Call = dyn_cast<ir::CallInst>(I.get())) {
+      EXPECT_EQ(Call->getCallee(), Helper);
+      ++Calls;
+    }
+  EXPECT_EQ(Calls, 2u);
 }
 
 TEST(Parser, IfCreatesFallthroughBlock) {
@@ -233,6 +242,16 @@ TEST(ParserDiagnostics, AssigningGlobalDirectly) {
   ASSERT_FALSE(R.succeeded());
   EXPECT_NE(R.Errors.front().find("store through a pointer"),
             std::string::npos);
+
+  // Globals are known from the first pass on, so a declaration after the
+  // function body blocks the assignment too.
+  R = parseModule(R"(
+    func main() { g = 3; ret 0; }
+    global g[1] init;
+  )");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_NE(R.Errors.front().find("cannot assign to global 'g'"),
+            std::string::npos);
 }
 
 TEST(ParserDiagnostics, DuplicateFunction) {
@@ -242,6 +261,36 @@ TEST(ParserDiagnostics, DuplicateFunction) {
   )");
   ASSERT_FALSE(R.succeeded());
   EXPECT_NE(R.Errors.front().find("redefinition of function"),
+            std::string::npos);
+}
+
+TEST(ParserDiagnostics, DuplicateGlobal) {
+  ParseResult R = parseModule(R"(
+    global g[1] init;
+    global g[2] uninit;
+    func main() { ret 0; }
+  )");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_NE(R.Errors.front().find("redefinition of global 'g'"),
+            std::string::npos);
+}
+
+TEST(ParserDiagnostics, VarRedeclaringGlobal) {
+  ParseResult R = parseModule(R"(
+    func main() { var x, g; ret 0; }
+    global g[1] init;
+  )");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_NE(R.Errors.front().find("redeclaration of 'g'"), std::string::npos);
+}
+
+TEST(ParserDiagnostics, CallToUndefinedFunction) {
+  ParseResult R = parseModule(R"(
+    func main() { nowhere(1); ret 0; }
+    func elsewhere() { ret 0; }
+  )");
+  ASSERT_FALSE(R.succeeded());
+  EXPECT_NE(R.Errors.front().find("call to undefined function 'nowhere'"),
             std::string::npos);
 }
 

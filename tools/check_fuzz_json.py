@@ -26,7 +26,6 @@ ORACLE_NAMES = [
     "diagnosis-soundness",
     "degradation-soundness",
     "serve-equivalence",
-    "summary-equivalence",
     "query-equivalence",
     "client-consistency",
 ]

@@ -55,6 +55,7 @@
 #include "parser/Parser.h"
 #include "runtime/Interpreter.h"
 #include "support/FaultInjection.h"
+#include "support/ParseNumber.h"
 #include "support/RawStream.h"
 #include "support/ThreadPool.h"
 #include "transforms/Transforms.h"
@@ -106,7 +107,6 @@ struct CliOptions {
   /// --solver=/--naive-solver was given explicitly; --query defaults to
   /// the unification engine otherwise.
   bool SolverGiven = false;
-  core::EngineKind Engine = core::EngineKind::Global;
   BudgetLimits Limits;
   std::optional<FaultPlan> Fault;
   uint64_t Jobs = 1;
@@ -123,7 +123,7 @@ int usage(const char *Argv0) {
             "[--no-run] [--solver=andersen|naive|unify] [--budget-ms=<N>] "
             "[--budget-steps=<N>] [--inject-fault=<phase>@<step>[:once|:<n>]] "
             "[--diagnose] [--diag-json=<file>] [--jobs=<N>] "
-            "[--engine=global|summary] [--query <srcId> <sinkId>] "
+            "[--query <srcId> <sinkId>] "
             "[--client=<c>[,<c>...]] [--bounds-budget=<pct>]\n"
             "\n"
             "  --client=<c>[,<c>...]\n"
@@ -141,11 +141,6 @@ int usage(const char *Argv0) {
             "                      phases (default 1 = serial; 0 = all\n"
             "                      cores). Output is byte-identical for\n"
             "                      every value of N.\n"
-            "  --engine=global|summary\n"
-            "                      definedness engine: the whole-program\n"
-            "                      fixpoint (default) or the bottom-up\n"
-            "                      per-function summary engine (same\n"
-            "                      warnings; SCC-parallel and cacheable).\n"
             "\n"
             "  --diagnose          classify every critical operation as\n"
             "                      CLEAN, MAY-UUV or DEFINITE-UUV and print\n"
@@ -196,18 +191,6 @@ int usage(const char *Argv0) {
   return ExitInputError;
 }
 
-bool parseUInt(std::string_view Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
   for (int I = 1; I != Argc; ++I) {
     std::string_view Arg = Argv[I];
@@ -245,8 +228,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         return false;
       Opts.SolverGiven = true;
     } else if (Arg == "--query") {
-      if (I + 2 >= Argc || !parseUInt(Argv[I + 1], Opts.QuerySrc) ||
-          !parseUInt(Argv[I + 2], Opts.QuerySink) ||
+      if (I + 2 >= Argc || !parseDecimal(Argv[I + 1], Opts.QuerySrc) ||
+          !parseDecimal(Argv[I + 2], Opts.QuerySink) ||
           Opts.QuerySrc > 0xffffffffull || Opts.QuerySink > 0xffffffffull)
         return false;
       Opts.Query = true;
@@ -275,16 +258,8 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
         Opts.Preset = transforms::OptPreset::O2;
       else
         return false;
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string_view E = Arg.substr(9);
-      if (E == "global")
-        Opts.Engine = core::EngineKind::Global;
-      else if (E == "summary")
-        Opts.Engine = core::EngineKind::Summary;
-      else
-        return false;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), Opts.Jobs) || Opts.Jobs > 64)
+      if (!parseDecimal(Arg.substr(7), Opts.Jobs) || Opts.Jobs > 64)
         return false;
     } else if (Arg.rfind("--client=", 0) == 0) {
       std::string_view List = Arg.substr(9);
@@ -302,14 +277,14 @@ bool parseArgs(int Argc, char **Argv, CliOptions &Opts) {
       }
     } else if (Arg.rfind("--bounds-budget=", 0) == 0) {
       uint64_t Pct;
-      if (!parseUInt(Arg.substr(16), Pct) || Pct > 10000)
+      if (!parseDecimal(Arg.substr(16), Pct) || Pct > 10000)
         return false;
       Opts.BoundsBudgetPercent = static_cast<unsigned>(Pct);
     } else if (Arg.rfind("--budget-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(12), Opts.Limits.PhaseDeadlineMs))
+      if (!parseDecimal(Arg.substr(12), Opts.Limits.PhaseDeadlineMs))
         return false;
     } else if (Arg.rfind("--budget-steps=", 0) == 0) {
-      if (!parseUInt(Arg.substr(15), Opts.Limits.MaxStepsPerPhase))
+      if (!parseDecimal(Arg.substr(15), Opts.Limits.MaxStepsPerPhase))
         return false;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       std::string Err;
@@ -515,7 +490,6 @@ int main(int Argc, char **Argv) {
     core::UsherOptions UO;
     UO.Variant = V;
     UO.Pta.Solver = Opts.Solver;
-    UO.Engine = Opts.Engine;
     UO.Limits = Opts.Limits;
     UO.Fault = Opts.Fault;
     UO.Jobs = Jobs;
@@ -548,15 +522,6 @@ int main(int Argc, char **Argv) {
          << "solver collapses:     " << S.Solver.NumCollapses << " ("
          << S.Solver.NumCollapsedNodes << " nodes)\n"
          << "unified cells:        " << S.Solver.NumUnifiedCells << '\n';
-      if (Opts.Engine == core::EngineKind::Summary)
-        OS << "engine:               summary (" << S.Summary.NumFunctions
-           << " functions, " << S.Summary.NumSCCs << " SCCs)\n"
-           << "summaries computed:   " << S.Summary.SummariesComputed << '\n'
-           << "summaries pruned:     " << S.Summary.PrunedTransfers
-           << " transfers, " << S.Summary.MergedContexts << " merged, "
-           << S.Summary.PrunedCalleeEntries << " callee entries\n"
-           << "realized boundary facts: " << S.Summary.RealizedBoundaryFacts
-           << '\n';
       OS << "analysis time:        " << S.AnalysisSeconds * 1000 << " ms\n";
       for (const core::ClientPlanInfo &CP : R.ClientPlans) {
         OS << "client " << core::clientName(CP.Kind) << ":       sinks "

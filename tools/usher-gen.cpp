@@ -24,12 +24,12 @@
 
 #include "ir/IR.h"
 #include "parser/Parser.h"
+#include "support/ParseNumber.h"
 #include "support/RawStream.h"
 #include "workload/Spec2000.h"
 #include "workload/Synthesizer.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 using namespace usher;
@@ -64,58 +64,50 @@ void printUsage(raw_ostream &OS) {
      << "                   measured shape instead of the source\n";
 }
 
-bool parseUInt(const std::string &Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  char *End = nullptr;
-  Out = std::strtoull(Text.c_str(), &End, 10);
-  return End && *End == '\0';
-}
-
 bool parseArgs(int Argc, char **Argv, CliOptions &Cli) {
   for (int I = 1; I != Argc; ++I) {
     std::string Arg = Argv[I];
     uint64_t N = 0;
     if (Arg.rfind("--nodes=", 0) == 0) {
-      if (!parseUInt(Arg.substr(8), N) || N == 0)
+      if (!parseDecimal(Arg.substr(8), N) || N == 0)
         return false;
       Cli.Spec.TargetNodes = static_cast<unsigned>(N);
     } else if (Arg.rfind("--depth=", 0) == 0) {
-      if (!parseUInt(Arg.substr(8), N) || N == 0)
+      if (!parseDecimal(Arg.substr(8), N) || N == 0)
         return false;
       Cli.Spec.CallDepth = static_cast<unsigned>(N);
     } else if (Arg.rfind("--fanout=", 0) == 0) {
-      if (!parseUInt(Arg.substr(9), N) || N == 0)
+      if (!parseDecimal(Arg.substr(9), N) || N == 0)
         return false;
       Cli.Spec.Fanout = static_cast<unsigned>(N);
     } else if (Arg.rfind("--scc=", 0) == 0) {
-      if (!parseUInt(Arg.substr(6), N))
+      if (!parseDecimal(Arg.substr(6), N))
         return false;
       Cli.Spec.RecursionRings = static_cast<unsigned>(N);
     } else if (Arg.rfind("--scc-size=", 0) == 0) {
-      if (!parseUInt(Arg.substr(11), N) || N == 0)
+      if (!parseDecimal(Arg.substr(11), N) || N == 0)
         return false;
       Cli.Spec.RingSize = static_cast<unsigned>(N);
     } else if (Arg.rfind("--ptr-density=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), N) || N > 100)
+      if (!parseDecimal(Arg.substr(14), N) || N > 100)
         return false;
       Cli.Spec.PtrDensityPercent = static_cast<unsigned>(N);
     } else if (Arg.rfind("--field-depth=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), N))
+      if (!parseDecimal(Arg.substr(14), N))
         return false;
       Cli.Spec.FieldChainDepth = static_cast<unsigned>(N);
     } else if (Arg.rfind("--uninit=", 0) == 0) {
-      if (!parseUInt(Arg.substr(9), N) || N > 100)
+      if (!parseDecimal(Arg.substr(9), N) || N > 100)
         return false;
       Cli.Spec.UninitAllocPercent = static_cast<unsigned>(N);
     } else if (Arg == "--define-all") {
       Cli.Spec.DefineAll = true;
     } else if (Arg.rfind("--seed=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N))
+      if (!parseDecimal(Arg.substr(7), N))
         return false;
       Cli.Spec.Seed = N;
     } else if (Arg.rfind("--jobs=", 0) == 0) {
-      if (!parseUInt(Arg.substr(7), N) || N > 64)
+      if (!parseDecimal(Arg.substr(7), N) || N > 64)
         return false;
       Cli.Spec.Jobs = static_cast<unsigned>(N);
     } else if (Arg.rfind("--out=", 0) == 0) {

@@ -30,6 +30,7 @@
 #include "serve/Client.h"
 #include "serve/Daemon.h"
 #include "support/FaultInjection.h"
+#include "support/ParseNumber.h"
 #include "support/RawStream.h"
 
 #include <csignal>
@@ -59,7 +60,6 @@ struct ServeOptions {
   uint64_t Workers = 2;
   uint64_t QueueLimit = 8;
   uint64_t RetryAfterMs = 50;
-  core::EngineKind Engine = core::EngineKind::Global;
   // Client-side.
   std::string OpName = "ping";
   std::string InputPath;
@@ -81,7 +81,6 @@ int usage(const char *Argv0) {
   errs() << "usage: " << Argv0
          << " --socket=<path> [--snapshot-dir=<dir>] [--workers=<N>]\n"
             "         [--queue-limit=<N>] [--retry-after-ms=<N>]\n"
-            "         [--engine=global|summary]\n"
             "       " << Argv0
          << " --client --socket=<path> --op=<op> [<program.tc>]\n"
             "         [--deadline-ms=<N>] [--budget-steps=<N>]\n"
@@ -100,29 +99,12 @@ int usage(const char *Argv0) {
             "--client-list=uuv,addrleak,bounds asks analyze to plan the\n"
             "named sanitizer clients over one shared VFG (default: uuv)\n"
             "\n"
-            "--engine=summary keys per-function summaries by content hash\n"
-            "and persists them in the snapshot store, so an edited module\n"
-            "re-analyzes only the dirty functions plus the callers their\n"
-            "summary-value deltas escape into\n"
-            "\n"
             "daemon exit codes: 0 clean shutdown, 1 socket/loop failure,\n"
             "2 usage error\n"
             "client exit codes: 0 OK or DEGRADED reply, 2 usage/input\n"
             "error, 3 ERROR reply, 4 shed on every retry, 5 transport\n"
             "failure\n";
   return ExitUsage;
-}
-
-bool parseUInt(std::string_view Text, uint64_t &Out) {
-  if (Text.empty())
-    return false;
-  Out = 0;
-  for (char C : Text) {
-    if (C < '0' || C > '9')
-      return false;
-    Out = Out * 10 + static_cast<uint64_t>(C - '0');
-  }
-  return true;
 }
 
 bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
@@ -137,30 +119,22 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
     else if (Arg.rfind("--snapshot-dir=", 0) == 0)
       Opts.SnapshotDir = std::string(Arg.substr(15));
     else if (Arg.rfind("--workers=", 0) == 0) {
-      if (!parseUInt(Arg.substr(10), Opts.Workers) || Opts.Workers == 0 ||
+      if (!parseDecimal(Arg.substr(10), Opts.Workers) || Opts.Workers == 0 ||
           Opts.Workers > 64)
         return false;
     } else if (Arg.rfind("--queue-limit=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.QueueLimit))
+      if (!parseDecimal(Arg.substr(14), Opts.QueueLimit))
         return false;
     } else if (Arg.rfind("--retry-after-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(17), Opts.RetryAfterMs))
-        return false;
-    } else if (Arg.rfind("--engine=", 0) == 0) {
-      std::string_view E = Arg.substr(9);
-      if (E == "global")
-        Opts.Engine = core::EngineKind::Global;
-      else if (E == "summary")
-        Opts.Engine = core::EngineKind::Summary;
-      else
+      if (!parseDecimal(Arg.substr(17), Opts.RetryAfterMs))
         return false;
     } else if (Arg.rfind("--op=", 0) == 0) {
       Opts.OpName = std::string(Arg.substr(5));
     } else if (Arg.rfind("--deadline-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.DeadlineMs))
+      if (!parseDecimal(Arg.substr(14), Opts.DeadlineMs))
         return false;
     } else if (Arg.rfind("--budget-steps=", 0) == 0) {
-      if (!parseUInt(Arg.substr(15), Opts.BudgetSteps))
+      if (!parseDecimal(Arg.substr(15), Opts.BudgetSteps))
         return false;
     } else if (Arg.rfind("--inject-fault=", 0) == 0) {
       Opts.FaultSpec = std::string(Arg.substr(15));
@@ -168,8 +142,8 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       std::string_view Pair = Arg.substr(8);
       size_t Comma = Pair.find(',');
       if (Comma == std::string_view::npos ||
-          !parseUInt(Pair.substr(0, Comma), Opts.QuerySrc) ||
-          !parseUInt(Pair.substr(Comma + 1), Opts.QuerySink) ||
+          !parseDecimal(Pair.substr(0, Comma), Opts.QuerySrc) ||
+          !parseDecimal(Pair.substr(Comma + 1), Opts.QuerySink) ||
           Opts.QuerySrc > 0xffffffffull || Opts.QuerySink > 0xffffffffull)
         return false;
       Opts.QueryGiven = true;
@@ -178,13 +152,13 @@ bool parseArgs(int Argc, char **Argv, ServeOptions &Opts) {
       if (Opts.Clients.empty())
         return false;
     } else if (Arg.rfind("--id=", 0) == 0) {
-      if (!parseUInt(Arg.substr(5), Opts.Id))
+      if (!parseDecimal(Arg.substr(5), Opts.Id))
         return false;
     } else if (Arg.rfind("--max-retries=", 0) == 0) {
-      if (!parseUInt(Arg.substr(14), Opts.MaxRetries))
+      if (!parseDecimal(Arg.substr(14), Opts.MaxRetries))
         return false;
     } else if (Arg.rfind("--timeout-ms=", 0) == 0) {
-      if (!parseUInt(Arg.substr(13), Opts.TimeoutMs))
+      if (!parseDecimal(Arg.substr(13), Opts.TimeoutMs))
         return false;
     } else if (!Arg.empty() && Arg[0] != '-' && Opts.InputPath.empty()) {
       Opts.InputPath = Arg;
@@ -230,7 +204,6 @@ int runDaemon(const ServeOptions &Opts) {
   DO.Workers = static_cast<unsigned>(Opts.Workers);
   DO.QueueLimit = Opts.QueueLimit;
   DO.RetryAfterMs = static_cast<uint32_t>(Opts.RetryAfterMs);
-  DO.Engine = Opts.Engine;
 
   Daemon D(DO);
   if (!D.listen())
