@@ -9,24 +9,29 @@
 /// Measures how every pipeline phase scales with program size, using the
 /// workload synthesizer (workload/Synthesizer.h) as the size dial: four
 /// shape specs spanning roughly 1k to well past 100k VFG nodes, each run
-/// through three analysis configurations:
+/// through four analysis configurations:
 ///
-///   andersen-global     the reference pipeline (serial),
-///   andersen-global-j2  the same pipeline on a 2-worker pool,
-///   unify-global        the near-linear unification solver rung.
+///   andersen-global       the reference pipeline (serial, O1 preset),
+///   andersen-global-j2    the same pipeline on a 2-worker pool,
+///   unify-global          the near-linear unification solver rung,
+///   andersen-global-o0im  the reference pipeline at the paper's O0+IM
+///                         preset, where Opt II has real work (at O1
+///                         mem2reg leaves it almost nothing to redirect).
 ///
 /// Per size and configuration the JSON (schema usher-bench-scale-v1,
 /// validated by tools/check_bench_json.py) records wall time for parse,
-/// mem2reg (the O1 preset), and each runUsher phase (pointer analysis,
-/// memory SSA, VFG, definedness, Opt II), plus peak RSS — the raw data
-/// behind the scaling-curve analysis in EXPERIMENTS.md.
+/// the preset's transforms (mem2reg_ms), and each runUsher phase (pointer
+/// analysis, memory SSA, VFG, definedness, Opt II), plus peak RSS — the
+/// raw data behind the scaling-curve analysis in EXPERIMENTS.md.
 ///
-/// Because every configuration analyzes the *same* program, the harness
-/// cross-checks answers, not just times: the serial and --jobs=2 runs
-/// must produce identical fingerprints (plan counts + VFG shape), and the
-/// unify rung — a sound over-approximation — must report the same runtime
-/// warnings with at least as many planned checks. Any mismatch aborts:
-/// a curve bought with a different answer is a bug, not a result.
+/// Configurations of one preset analyze the *same* program, so the
+/// harness cross-checks answers, not just times: the serial and --jobs=2
+/// runs must produce identical fingerprints (plan counts + VFG shape), and
+/// the unify rung — a sound over-approximation — must report the same
+/// runtime warnings with at least as many planned checks. Any mismatch
+/// aborts: a curve bought with a different answer is a bug, not a result.
+/// The O0+IM configuration analyzes a differently transformed module and
+/// is only checked for reproducibility across iterations.
 ///
 /// Usage: bench_scale [--smoke] [--out=FILE]
 ///   --smoke     two smallest sizes, single iteration; used by the
@@ -145,12 +150,18 @@ struct Config {
   const char *Name;
   analysis::SolverKind Solver;
   unsigned Jobs;
+  transforms::OptPreset Preset;
 };
 
 constexpr Config Configs[] = {
-    {"andersen-global", analysis::SolverKind::Optimized, 1},
-    {"andersen-global-j2", analysis::SolverKind::Optimized, 2},
-    {"unify-global", analysis::SolverKind::Unify, 1},
+    {"andersen-global", analysis::SolverKind::Optimized, 1,
+     transforms::OptPreset::O1},
+    {"andersen-global-j2", analysis::SolverKind::Optimized, 2,
+     transforms::OptPreset::O1},
+    {"unify-global", analysis::SolverKind::Unify, 1,
+     transforms::OptPreset::O1},
+    {"andersen-global-o0im", analysis::SolverKind::Optimized, 1,
+     transforms::OptPreset::O0IM},
 };
 
 double phaseMs(const core::UsherResult &UR, const char *Key) {
@@ -179,7 +190,7 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
     if (C.Jobs > 1)
       Pool = std::make_unique<ThreadPool>(C.Jobs);
     T0 = Clock::now();
-    transforms::runPreset(*PR.M, transforms::OptPreset::O1, Pool.get());
+    transforms::runPreset(*PR.M, C.Preset, Pool.get());
     double Mem2RegMs = msSince(T0);
 
     core::UsherOptions Opts;
@@ -303,7 +314,8 @@ int main(int argc, char **argv) {
     for (const Config &C : Configs)
       Row.Configs.push_back(runConfig(Source, C, Iters));
 
-    // Answer cross-checks. Index 0 is the reference configuration.
+    // Answer cross-checks within the O1 preset. Index 0 is the reference
+    // configuration.
     const Fingerprint &Ref = Row.Configs[0].FP;
     if (!(Row.Configs[1].FP == Ref)) {
       std::fprintf(stderr, "FATAL: %s: --jobs=2 diverged from serial\n",

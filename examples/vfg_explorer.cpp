@@ -18,6 +18,7 @@
 #include "analysis/PointerAnalysis.h"
 #include "core/Usher.h"
 #include "parser/Parser.h"
+#include "ssa/MemorySSA.h"
 #include "support/RawStream.h"
 
 using namespace usher;
@@ -65,10 +66,13 @@ int main(int argc, char **argv) {
         St->print(OS);
         OS << "\" -> ";
         bool First = true;
-        for (uint32_t Loc : R.PA->pointsTo(St->getPtr())) {
+        for (const ssa::MemDef &Chi : R.SSA->get(F.get()).instInfo(St)->Chis) {
           if (!First)
             OS << ", ";
-          switch (R.G->storeUpdateKind(St, Loc)) {
+          uint32_t Loc = Chi.Loc;
+          uint32_t Node =
+              R.G->nodeId(F.get(), {ssa::Space::Memory, Loc}, Chi.NewVersion);
+          switch (R.G->storeUpdateKind(Node)) {
           case vfg::UpdateKind::Strong:
             OS << "strong";
             break;

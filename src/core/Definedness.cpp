@@ -12,7 +12,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace usher;
 using namespace usher::core;
@@ -24,13 +23,359 @@ using vfg::VFG;
 /// the static diagnosis witness search replays exactly these transitions.
 using Context = ContextStack;
 
-Definedness::Definedness(
-    const VFG &G, DefinednessOptions Opts,
-    const std::unordered_map<uint32_t, std::vector<Edge>> *Redirects,
-    Budget *B) {
+namespace {
+
+/// Contexts beyond each component's first: one open-addressing hash set
+/// of (component, context) pairs, so only components that see a second
+/// context cost more than their inline slot.
+class ContextOverflow {
+public:
+  bool contains(uint32_t Rep, uint64_t Ctx) const {
+    if (Table.empty())
+      return false;
+    for (size_t I = hash(Rep, Ctx) & Mask;; I = (I + 1) & Mask) {
+      const Entry &E = Table[I];
+      if (E.Rep == Rep && E.Ctx == Ctx)
+        return true;
+      if (E.Rep == Empty)
+        return false;
+    }
+  }
+
+  /// Inserts a pair known to be absent.
+  void insert(uint32_t Rep, uint64_t Ctx) {
+    if (2 * (Used + 1) > Table.size())
+      grow();
+    place(Rep, Ctx);
+  }
+
+private:
+  static constexpr uint32_t Empty = ~0u;
+  struct Entry {
+    uint64_t Ctx = 0;
+    uint32_t Rep = Empty;
+  };
+
+  static size_t hash(uint32_t Rep, uint64_t Ctx) {
+    uint64_t H = (Ctx ^ (static_cast<uint64_t>(Rep) << 21)) *
+                 0x9E3779B97F4A7C15ull;
+    return static_cast<size_t>(H ^ (H >> 32));
+  }
+
+  void place(uint32_t Rep, uint64_t Ctx) {
+    size_t I = hash(Rep, Ctx) & Mask;
+    while (Table[I].Rep != Empty)
+      I = (I + 1) & Mask;
+    Table[I] = {Ctx, Rep};
+    ++Used;
+  }
+
+  void grow() {
+    std::vector<Entry> Old(Table.empty() ? 1024 : 2 * Table.size());
+    Old.swap(Table);
+    Mask = Table.size() - 1;
+    Used = 0;
+    for (const Entry &E : Old)
+      if (E.Rep != Empty)
+        place(E.Rep, E.Ctx);
+  }
+
+  std::vector<Entry> Table;
+  size_t Mask = 0;
+  size_t Used = 0;
+};
+
+/// Calls \p Fn on every seed of the reachability: the taint seeds, or the
+/// F root; for the top-level-only variant also every memory node.
+template <typename FnT>
+void forEachSeed(const VFG &G, const DefinednessOptions &Opts, FnT Fn) {
+  if (Opts.Seeds) {
+    for (uint32_t S : *Opts.Seeds)
+      Fn(S);
+  } else {
+    Fn(VFG::RootF);
+  }
+  if (!Opts.AddressTakenAware) {
+    // The top-level-only variant does not reason about memory: every
+    // address-taken definition may hold an undefined value.
+    for (uint32_t Id = 2, N = G.numNodes(); Id != N; ++Id)
+      if (G.node(Id).Key.Sp == ssa::Space::Memory)
+        Fn(Id);
+  }
+}
+
+/// One context-sensitive reachability pass over the (possibly redirected)
+/// graph, restricted to the nodes of \p Universe. A flow that would reach
+/// a node outside the universe ends the pass as Escaped.
+class Resolver {
+public:
+  enum class Outcome { Done, Pessimized, Escaped };
+
+  Resolver(const VFG &G, const DefinednessOptions &Opts,
+           const BitSet *RemovedUsers, const BitSet *Universe, Budget *B)
+      : G(G), Opts(Opts), RemovedUsers(RemovedUsers), Universe(Universe),
+        B(B) {}
+
+  /// Runs the pass; on Done or Pessimized, the reached nodes are added to
+  /// \p Bottom.
+  Outcome run(BitSet &Bottom);
+
+private:
+  bool inUniverse(uint32_t Node) const { return Universe->test(Node); }
+  bool removed(uint32_t UserSlot) const {
+    return RemovedUsers && RemovedUsers->test(UserSlot);
+  }
+  template <typename FnT> void forEachNode(FnT Fn) const {
+    Universe->forEach([&](size_t Node) { Fn(static_cast<uint32_t>(Node)); });
+  }
+
+  void condenseDirectSccs();
+  void buildCondensedFlows();
+  void reach(uint32_t Node, Context Ctx);
+  void reachRep(uint32_t R, Context Ctx);
+  void markReached(BitSet &Bottom) const;
+
+  const VFG &G;
+  const DefinednessOptions &Opts;
+  const BitSet *RemovedUsers;
+  const BitSet *Universe;
+  Budget *B;
+
+  /// Component (dense index) of every node in the universe.
+  std::vector<uint32_t> Rep;
+  uint32_t NumReps = 0;
+  /// Condensed labeled flows per component, CSR; Edge::Node is the target
+  /// component, or Escape for a flow leaving the universe.
+  static constexpr uint32_t Escape = ~0u;
+  std::vector<uint32_t> FlowBegin;
+  std::vector<Edge> Flows;
+
+  /// Per component: its first context inline, the count of contexts seen
+  /// (the Saturated bit marks a component collapsed to the universal
+  /// context), and the rest in Overflow.
+  static constexpr size_t MaxContextsPerRep = 64;
+  static constexpr uint8_t Saturated = 0x80;
+  std::vector<uint64_t> FirstCtx;
+  std::vector<uint8_t> NumCtx;
+  ContextOverflow Overflow;
+
+  struct State {
+    uint32_t Rep;
+    Context Ctx;
+  };
+  std::vector<State> Work;
+  bool Escaped = false;
+};
+
+/// Condenses the Direct-flow SCCs (iterative Tarjan). Direct edges never
+/// touch the context stack, so every member of a Direct cycle is
+/// undefinedness-reachable under exactly the same set of contexts; the
+/// reachability therefore runs over components and keeps the
+/// visited-(node, context) memo once per component. A component is named
+/// by its smallest member, which does not depend on the DFS order, so a
+/// pass over a sub-universe that contains whole components orders its
+/// flows exactly like a pass over the whole graph.
+void Resolver::condenseDirectSccs() {
+  const uint32_t N = G.numNodes();
+  Rep.assign(N, ~0u);
+  std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
+  std::vector<uint8_t> OnStack(N, 0);
+  struct Frame {
+    uint32_t Node;
+    uint32_t NextSlot;
+  };
+  std::vector<Frame> Stack;
+  uint32_t NextIndex = 1;
+  auto Open = [&](uint32_t Node) {
+    Index[Node] = Low[Node] = NextIndex++;
+    OnStack[Node] = 1;
+    SccStack.push_back(Node);
+    Stack.push_back({Node, G.userSlot(Node)});
+  };
+  forEachNode([&](uint32_t Root) {
+    if (Index[Root])
+      return;
+    Open(Root);
+    while (!Stack.empty()) {
+      Frame &F = Stack.back();
+      uint32_t U = F.Node;
+      if (F.NextSlot != G.userSlot(U + 1)) {
+        uint32_t Slot = F.NextSlot++;
+        const Edge &E = G.userAt(Slot);
+        if (E.Kind != EdgeKind::Direct || removed(Slot) ||
+            !inUniverse(E.Node))
+          continue;
+        uint32_t V = E.Node;
+        if (!Index[V])
+          Open(V);
+        else if (OnStack[V])
+          Low[U] = std::min(Low[U], Index[V]);
+        continue;
+      }
+      Stack.pop_back();
+      if (!Stack.empty())
+        Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
+      if (Low[U] == Index[U]) {
+        // U roots a component: its members sit above U on SccStack.
+        size_t First = SccStack.size() - 1;
+        while (SccStack[First] != U)
+          --First;
+        uint32_t Min =
+            *std::min_element(SccStack.begin() + First, SccStack.end());
+        for (size_t I = First; I != SccStack.size(); ++I) {
+          OnStack[SccStack[I]] = 0;
+          Rep[SccStack[I]] = Min;
+        }
+        SccStack.resize(First);
+      }
+    }
+  });
+
+  // Dense component indices in ascending order of their smallest member
+  // (Index is free for reuse).
+  forEachNode([&](uint32_t Node) {
+    if (Rep[Node] == Node)
+      Index[Node] = NumReps++;
+  });
+  forEachNode([&](uint32_t Node) { Rep[Node] = Index[Rep[Node]]; });
+}
+
+/// Builds the condensed labeled adjacency by counting sort on the source
+/// component: intra-component Direct flows vanish, Call/Ret flows survive
+/// even as self-loops (they transform the context). Each component's
+/// flows are then sorted by (target, kind, call site) and deduplicated.
+void Resolver::buildCondensedFlows() {
+  FlowBegin.assign(NumReps + 1, 0);
+  auto ForEachFlow = [&](auto Fn) {
+    forEachNode([&](uint32_t S) {
+      uint32_t RS = Rep[S];
+      auto Users = G.users(S);
+      for (uint32_t I = 0; I != Users.size(); ++I) {
+        const Edge &E = Users[I];
+        if (removed(G.userSlot(S) + I))
+          continue;
+        uint32_t RT = inUniverse(E.Node) ? Rep[E.Node] : Escape;
+        if (E.Kind == EdgeKind::Direct && RS == RT)
+          continue;
+        Fn(RS, Edge{RT, E.Kind, E.CallSite});
+      }
+    });
+  };
+  ForEachFlow([&](uint32_t RS, const Edge &) { ++FlowBegin[RS + 1]; });
+  for (uint32_t R = 0; R != NumReps; ++R)
+    FlowBegin[R + 1] += FlowBegin[R];
+  Flows.resize(FlowBegin[NumReps]);
+  {
+    std::vector<uint32_t> Cursor(FlowBegin.begin(), FlowBegin.end() - 1);
+    ForEachFlow([&](uint32_t RS, const Edge &E) { Flows[Cursor[RS]++] = E; });
+  }
+  auto Less = [](const Edge &A, const Edge &B) {
+    if (A.Node != B.Node)
+      return A.Node < B.Node;
+    if (A.Kind != B.Kind)
+      return A.Kind < B.Kind;
+    return A.CallSite < B.CallSite;
+  };
+  uint32_t Out = 0;
+  for (uint32_t R = 0; R != NumReps; ++R) {
+    auto First = Flows.begin() + FlowBegin[R];
+    auto Last = Flows.begin() + FlowBegin[R + 1];
+    std::sort(First, Last, Less);
+    Last = std::unique(First, Last);
+    FlowBegin[R] = Out;
+    Out = static_cast<uint32_t>(std::move(First, Last, Flows.begin() + Out) -
+                                Flows.begin());
+  }
+  FlowBegin[NumReps] = Out;
+  Flows.resize(Out);
+}
+
+void Resolver::reach(uint32_t Node, Context Ctx) {
+  if (!inUniverse(Node))
+    Escaped = true;
+  else
+    reachRep(Rep[Node], Ctx);
+}
+
+void Resolver::reachRep(uint32_t R, Context Ctx) {
+  uint8_t &Num = NumCtx[R];
+  if (Num & Saturated)
+    return;
+  // Capped to bound state explosion: on overflow the component saturates
+  // to the universal (empty) context, which over-approximates every other
+  // context.
+  if (Num >= MaxContextsPerRep) {
+    Num |= Saturated;
+    Ctx = Context::empty();
+  }
+  const uint8_t Count = Num & ~Saturated;
+  if (Count != 0 &&
+      (FirstCtx[R] == Ctx.raw() ||
+       (Count > 1 && Overflow.contains(R, Ctx.raw()))))
+    return;
+  if (Count == 0)
+    FirstCtx[R] = Ctx.raw();
+  else
+    Overflow.insert(R, Ctx.raw());
+  ++Num;
+  Work.push_back({R, Ctx});
+}
+
+void Resolver::markReached(BitSet &Bottom) const {
+  forEachNode([&](uint32_t Node) {
+    if (NumCtx[Rep[Node]])
+      Bottom.set(Node);
+  });
+}
+
+Resolver::Outcome Resolver::run(BitSet &Bottom) {
   const unsigned K = Opts.ContextK;
+  condenseDirectSccs();
+  buildCondensedFlows();
+  FirstCtx.assign(NumReps, 0);
+  NumCtx.assign(NumReps, 0);
+
+  forEachSeed(G, Opts, [&](uint32_t S) { reach(S, Context::empty()); });
+
+  // Undefinedness flows from the depended-on component to its users.
+  while (!Work.empty() && !Escaped) {
+    if (B && !B->step()) {
+      markReached(Bottom);
+      return Outcome::Pessimized;
+    }
+    State S = Work.back();
+    Work.pop_back();
+    for (uint32_t I = FlowBegin[S.Rep]; I != FlowBegin[S.Rep + 1]; ++I) {
+      const Edge &E = Flows[I];
+      Context Next = S.Ctx;
+      if (E.Kind == EdgeKind::Call) {
+        if (K != 0)
+          Next = S.Ctx.pushed(E.CallSite, K);
+      } else if (E.Kind == EdgeKind::Ret) {
+        if (K != 0 && !S.Ctx.popped(E.CallSite, Next))
+          continue;
+      }
+      if (E.Node == Escape) {
+        Escaped = true;
+        break;
+      }
+      reachRep(E.Node, Next);
+    }
+  }
+  if (Escaped)
+    return Outcome::Escaped;
+  markReached(Bottom);
+  return Outcome::Done;
+}
+
+} // namespace
+
+Definedness::Definedness(const VFG &G, DefinednessOptions Opts,
+                         const RedirectOverlay *Redirects, Budget *B) {
   const uint32_t N = G.numNodes();
   Bottom.resize(N);
+  const BitSet *Redirected =
+      Redirects && !Redirects->empty() ? &Redirects->Slots : nullptr;
 
   // On budget exhaustion the worklist is abandoned mid-flight, so the
   // reachability result is incomplete. Completing it pessimistically keeps
@@ -43,19 +388,11 @@ Definedness::Definedness(
     for (uint32_t Id = 0; Id != N; ++Id) {
       if (G.isRoot(Id))
         continue;
-      const std::vector<Edge> *Deps = &G.deps(Id);
-      if (Redirects) {
-        auto It = Redirects->find(Id);
-        if (It != Redirects->end())
-          Deps = &It->second;
-      }
-      bool AllTop = !Deps->empty();
-      for (const Edge &E : *Deps) {
-        if (E.Node != VFG::RootT) {
-          AllTop = false;
-          break;
-        }
-      }
+      auto Deps = G.deps(Id);
+      bool AllTop = !Deps.empty();
+      for (uint32_t I = 0; I != Deps.size() && AllTop; ++I)
+        AllTop = Deps[I].Node == VFG::RootT ||
+                 (Redirected && Redirected->test(G.depSlot(Id) + I));
       if (!AllTop)
         Bottom.set(Id);
     }
@@ -72,202 +409,57 @@ Definedness::Definedness(
     return;
   }
 
-  // Effective forward-flow adjacency, hoisted out of the worklist loop: a
-  // flow runs from each definition to each of its users, and a redirected
-  // user's flow is suppressed when its overriding dependency list no
-  // longer names the definition. Filtering once here replaces a hash
-  // lookup per user at every pop.
-  std::vector<std::vector<Edge>> Flows(N);
-  for (uint32_t S = 0; S != N; ++S) {
-    for (const Edge &E : G.users(S)) {
-      if (Redirects) {
-        auto It = Redirects->find(E.Node);
-        if (It != Redirects->end()) {
-          bool StillDepends = false;
-          for (const Edge &D : It->second) {
-            if (D.Node == S && D.Kind == E.Kind && D.CallSite == E.CallSite) {
-              StillDepends = true;
-              break;
-            }
-          }
-          if (!StillDepends)
-            continue;
-        }
-      }
-      Flows[S].push_back(E);
-    }
-  }
-
-  // Condense the Direct-flow SCCs (iterative Tarjan). Direct edges never
-  // touch the context stack, so every member of a Direct cycle is
-  // undefinedness-reachable under exactly the same set of contexts; the
-  // reachability below therefore runs over SCC representatives and the
-  // visited-(node, context) memo is kept once per component instead of
-  // once per member.
-  std::vector<uint32_t> Rep(N);
-  {
-    std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
-    std::vector<uint8_t> OnStack(N, 0);
-    struct Frame {
-      uint32_t Node;
-      uint32_t NextEdge;
-    };
-    std::vector<Frame> Stack;
-    uint32_t NextIndex = 1;
-    for (uint32_t Root = 0; Root != N; ++Root) {
-      if (Index[Root])
-        continue;
-      Index[Root] = Low[Root] = NextIndex++;
-      OnStack[Root] = 1;
-      SccStack.push_back(Root);
-      Stack.push_back({Root, 0});
-      while (!Stack.empty()) {
-        Frame &F = Stack.back();
-        uint32_t U = F.Node;
-        if (F.NextEdge < Flows[U].size()) {
-          const Edge &E = Flows[U][F.NextEdge++];
-          if (E.Kind != EdgeKind::Direct)
-            continue;
-          uint32_t V = E.Node;
-          if (!Index[V]) {
-            Index[V] = Low[V] = NextIndex++;
-            OnStack[V] = 1;
-            SccStack.push_back(V);
-            Stack.push_back({V, 0});
-          } else if (OnStack[V]) {
-            Low[U] = std::min(Low[U], Index[V]);
-          }
-          continue;
-        }
-        Stack.pop_back();
-        if (!Stack.empty())
-          Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
-        if (Low[U] == Index[U]) {
-          while (true) {
-            uint32_t M = SccStack.back();
-            SccStack.pop_back();
-            OnStack[M] = 0;
-            Rep[M] = U;
-            if (M == U)
-              break;
-          }
-        }
-      }
-    }
-  }
-
-  // Members per representative (a component reached in any context marks
-  // every member bottom), and the condensed labeled adjacency:
-  // intra-component Direct flows vanish, Call/Ret flows survive even as
-  // self-loops — they transform the context.
-  std::vector<std::vector<uint32_t>> Members(N);
-  for (uint32_t Id = 0; Id != N; ++Id)
-    Members[Rep[Id]].push_back(Id);
-
-  struct CondensedEdge {
-    uint32_t Target;
-    EdgeKind Kind;
-    uint32_t CallSite;
-    bool operator<(const CondensedEdge &O) const {
-      if (Target != O.Target)
-        return Target < O.Target;
-      if (Kind != O.Kind)
-        return Kind < O.Kind;
-      return CallSite < O.CallSite;
-    }
-    bool operator==(const CondensedEdge &O) const {
-      return Target == O.Target && Kind == O.Kind && CallSite == O.CallSite;
-    }
-  };
-  std::vector<std::vector<CondensedEdge>> RepFlows(N);
-  for (uint32_t S = 0; S != N; ++S) {
-    for (const Edge &E : Flows[S]) {
-      uint32_t RS = Rep[S], RT = Rep[E.Node];
-      if (E.Kind == EdgeKind::Direct && RS == RT)
-        continue;
-      RepFlows[RS].push_back({RT, E.Kind, E.CallSite});
-    }
-  }
-  for (auto &Out : RepFlows) {
-    std::sort(Out.begin(), Out.end());
-    Out.erase(std::unique(Out.begin(), Out.end()), Out.end());
-  }
-
-  // Per-representative set of contexts already explored; capped to bound
-  // state explosion — on overflow the component saturates to the
-  // universal (empty) context, which over-approximates every other
-  // context.
-  constexpr size_t MaxContextsPerRep = 64;
-  std::vector<std::unordered_set<uint64_t>> Seen(N);
-  std::vector<uint8_t> Saturated(N, 0);
-
-  struct State {
-    uint32_t Rep;
-    Context Ctx;
-  };
-  std::vector<State> Work;
-
-  auto Reach = [&](uint32_t Node, Context Ctx) {
-    uint32_t R = Rep[Node];
-    if (Saturated[R])
-      return;
-    if (Seen[R].empty())
-      for (uint32_t M : Members[R])
-        Bottom.set(M);
-    if (Seen[R].size() >= MaxContextsPerRep) {
-      Saturated[R] = 1;
-      Ctx = Context::empty();
-      if (!Seen[R].insert(Ctx.raw()).second)
-        return;
-    } else if (!Seen[R].insert(Ctx.raw()).second) {
-      return;
-    }
-    Work.push_back({R, Ctx});
-  };
-
-  if (Opts.Seeds) {
-    for (uint32_t S : *Opts.Seeds)
-      Reach(S, Context::empty());
-  } else {
-    Reach(VFG::RootF, Context::empty());
-  }
-  if (!Opts.AddressTakenAware) {
-    // The top-level-only variant does not reason about memory: every
-    // address-taken definition may hold an undefined value.
-    for (uint32_t Id = 2; Id != N; ++Id)
-      if (G.node(Id).Key.Sp == ssa::Space::Memory)
-        Reach(Id, Context::empty());
-  }
-
-  // Undefinedness flows from the depended-on component to its users.
-  while (!Work.empty()) {
-    if (B && !B->step()) {
-      Pessimize();
-      return;
-    }
-    State S = Work.back();
-    Work.pop_back();
-    for (const CondensedEdge &E : RepFlows[S.Rep]) {
-      switch (E.Kind) {
-      case EdgeKind::Direct:
-        Reach(E.Target, S.Ctx);
-        break;
-      case EdgeKind::Call:
-        Reach(E.Target, K == 0 ? S.Ctx : S.Ctx.pushed(E.CallSite, K));
-        break;
-      case EdgeKind::Ret: {
-        if (K == 0) {
-          Reach(E.Target, S.Ctx);
+  // The flows a redirect suppresses: the user-edge mirror of every
+  // redirected dependency edge.
+  BitSet RemovedUsers;
+  if (Redirected) {
+    RemovedUsers.resize(G.numEdges());
+    Redirected->forEach([&](size_t Slot) {
+      const uint32_t Owner = G.depOwner(static_cast<uint32_t>(Slot));
+      const Edge &D = G.depAt(static_cast<uint32_t>(Slot));
+      auto Users = G.users(D.Node);
+      for (uint32_t I = 0; I != Users.size(); ++I) {
+        if (Users[I] == Edge{Owner, D.Kind, D.CallSite}) {
+          RemovedUsers.set(G.userSlot(D.Node) + I);
           break;
         }
-        Context Out = Context::empty();
-        if (S.Ctx.popped(E.CallSite, Out))
-          Reach(E.Target, Out);
-        break;
       }
-      }
-    }
+    });
   }
+
+  const BitSet *Removed = Redirected ? &RemovedUsers : nullptr;
+  Resolver::Outcome Out = Resolver::Outcome::Escaped;
+  if (Redirects && Redirects->Base) {
+    const BitSet &BaseBottom = Redirects->Base->Bottom;
+    assert(BaseBottom.size() == N && "base Gamma is over another graph");
+    Out = Resolver(G, Opts, Removed, &BaseBottom, B).run(Bottom);
+  }
+  if (Out == Resolver::Outcome::Escaped) {
+    // Everything a flow reaches from the seeds, ignoring contexts: a
+    // superset of the bottom nodes closed under flows, so the pass over it
+    // cannot escape and visits nothing undefinedness cannot reach.
+    BitSet Reachable(N);
+    std::vector<uint32_t> Stack;
+    auto Visit = [&](uint32_t Node) {
+      if (!Reachable.test(Node)) {
+        Reachable.set(Node);
+        Stack.push_back(Node);
+      }
+    };
+    forEachSeed(G, Opts, Visit);
+    while (!Stack.empty()) {
+      uint32_t Node = Stack.back();
+      Stack.pop_back();
+      auto Users = G.users(Node);
+      for (uint32_t I = 0; I != Users.size(); ++I)
+        if (!Removed || !Removed->test(G.userSlot(Node) + I))
+          Visit(Users[I].Node);
+    }
+    Out = Resolver(G, Opts, Removed, &Reachable, B).run(Bottom);
+    assert(Out != Resolver::Outcome::Escaped && "flow left its closure");
+  }
+  if (Out == Resolver::Outcome::Pessimized)
+    Pessimize();
 }
 
 BitSet core::computeCheckReaching(const VFG &G, const Definedness &Gamma,

@@ -44,14 +44,36 @@ struct DefinednessOptions {
   const std::vector<uint32_t> *Seeds = nullptr;
 };
 
+class Definedness;
+
+/// Opt II's edit of the VFG (Algorithm 1), as an overlay on the frozen
+/// graph: one bit per dependency-edge slot (VFG::depSlot), set when that
+/// edge is redirected to the T root. A redirect rewrites only the edges
+/// into a closure, so the overlay is per edge, not per node.
+struct RedirectOverlay {
+  BitSet Slots;
+  /// The Gamma the redirects were computed against, or null. Redirects
+  /// only delete flows of undefinedness, so every node that is bottom on
+  /// the redirected graph is bottom in Base; the re-resolution then walks
+  /// only Base's bottom nodes (see Definedness).
+  const Definedness *Base = nullptr;
+
+  bool empty() const { return Slots.empty(); }
+};
+
 /// The Gamma function of Section 3.3.
 class Definedness {
 public:
-  /// Resolves definedness over \p G. \p Redirects optionally overrides
-  /// the dependency edges of selected nodes (used by the Opt II redundant
-  /// check elimination, which recomputes Gamma on a modified graph): a
-  /// node present in \p Redirects uses the given dependency list instead
-  /// of its VFG one.
+  /// Resolves definedness over \p G. \p Redirects optionally overlays
+  /// Opt II's redirected dependency edges (Opt II recomputes Gamma on the
+  /// modified graph): a redirected edge carries no undefinedness.
+  ///
+  /// With a Base in \p Redirects, the resolution is base-relative: it
+  /// visits only the nodes bottom in Base, and pops the same states and
+  /// charges the same budget steps as a resolution over the whole
+  /// redirected graph. Should a flow ever leave Base's bottom set (the
+  /// subset argument assumes no component's context memo saturates
+  /// differently on the two graphs), it starts over on the whole graph.
   ///
   /// When \p B is armed (BudgetPhase::Definedness, or OptII for the
   /// redirect re-resolution), the reachability worklist checks it per pop.
@@ -62,8 +84,7 @@ public:
   /// sound — it merely demands more instrumentation — and wasPessimized()
   /// reports the degradation.
   Definedness(const vfg::VFG &G, DefinednessOptions Opts,
-              const std::unordered_map<uint32_t, std::vector<vfg::Edge>>
-                  *Redirects = nullptr,
+              const RedirectOverlay *Redirects = nullptr,
               Budget *B = nullptr);
 
   /// True if \p Node may carry an undefined value (Gamma = bottom).

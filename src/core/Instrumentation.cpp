@@ -553,7 +553,7 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
       } else {
         // All clones of a wrapper share the initialization flag (the
         // wrapper check enforces it).
-        const auto &Deps = G.deps(Node);
+        auto Deps = G.deps(Node);
         Init = false;
         for (const Edge &E : Deps)
           if (E.Node == VFG::RootT)
@@ -571,7 +571,7 @@ void InstrumentationPlanner::Impl::processMemory(uint32_t Node,
   }
   case ChiKind::Store: {
     const auto *St = cast<StoreInst>(I);
-    UpdateKind Kind = G.storeUpdateKind(St, N.Key.Id);
+    UpdateKind Kind = G.storeUpdateKind(Node);
     if (Defined) {
       if (Kind == UpdateKind::Strong || Kind == UpdateKind::SemiStrong) {
         // [T-Store SU]: strongly update the unique cell's shadow. We

@@ -22,7 +22,6 @@ using ssa::DefDesc;
 using ssa::FunctionSSA;
 using ssa::Space;
 using vfg::Edge;
-using vfg::EdgeKind;
 using vfg::VFG;
 
 namespace {
@@ -176,30 +175,28 @@ OptIIResult core::runRedundantCheckElimination(
 
   // Stage 2 — serial ordered merge in critical-use order. Within one use
   // the redirectee order only decides which of its own edges get rewritten
-  // first (the rewrites commute); across uses later plans read the
-  // redirect lists earlier ones installed, exactly as the serial loop did.
+  // first (the rewrites commute); across uses an edge already redirected
+  // to T is no longer in any closure, exactly as in the serial loop.
+  Result.Redirects.Slots.resize(G.numEdges());
+  Result.Redirects.Base = &BaseGamma;
+  BitSet &Slots = Result.Redirects.Slots;
   for (const UsePlan &Plan : Plans) {
     if (!Plan.Redirecting)
       continue;
     for (uint32_t R : Plan.Redirectees) {
-      // Redirect every dependency of R that lands in the closure to T.
-      auto It = Result.Redirects.find(R);
-      std::vector<Edge> NewDeps =
-          It != Result.Redirects.end() ? It->second : G.deps(R);
-      bool Changed = false;
-      for (Edge &E : NewDeps) {
-        if (Plan.Closure.count(E.Node)) {
-          E.Node = VFG::RootT;
-          E.Kind = EdgeKind::Direct;
-          E.CallSite = ~0u;
+      const uint32_t First = G.depSlot(R);
+      auto Deps = G.deps(R);
+      bool WasRedirected = false, Changed = false;
+      for (uint32_t I = 0; I != Deps.size(); ++I) {
+        if (Slots.test(First + I)) {
+          WasRedirected = true;
+        } else if (Plan.Closure.count(Deps[I].Node)) {
+          Slots.set(First + I);
           Changed = true;
         }
       }
-      if (Changed) {
-        if (It == Result.Redirects.end())
-          ++Result.NumRedirectedNodes;
-        Result.Redirects[R] = std::move(NewDeps);
-      }
+      if (Changed && !WasRedirected)
+        ++Result.NumRedirectedNodes;
     }
   }
   return Result;

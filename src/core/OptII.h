@@ -24,7 +24,6 @@
 #include "support/ThreadPool.h"
 #include "vfg/VFG.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace usher {
@@ -44,11 +43,11 @@ class CallGraph;
 namespace core {
 
 /// The edge redirections Opt II decided on, in the form Definedness
-/// accepts as an override, plus statistics.
+/// accepts as an overlay, plus statistics.
 struct OptIIResult {
-  /// Per redirected node: its replacement dependency list (edges into the
-  /// closure replaced by edges to the T root).
-  std::unordered_map<uint32_t, std::vector<vfg::Edge>> Redirects;
+  /// The dependency edges into a closure that are redirected to the T
+  /// root, based on the Gamma Algorithm 1 ran against.
+  RedirectOverlay Redirects;
   /// Number of distinct redirected nodes (the R column of Table 1).
   uint64_t NumRedirectedNodes = 0;
   /// True if the budget ran out mid-analysis. Partial redirections could

@@ -102,7 +102,7 @@ void StaticDiagnosis::computeMustUndef(const analysis::CallGraph &CG) {
   auto Eval = [&](uint32_t Id) {
     if (G.isRoot(Id) || !Gamma->mayBeUndefined(Id))
       return false;
-    const std::vector<Edge> &Deps = G.deps(Id);
+    const std::span<const Edge> Deps = G.deps(Id);
     if (Deps.empty())
       return false;
     auto AnyDep = [&] {

@@ -169,8 +169,12 @@ public:
   /// particular return are the Mus of that RetInst.
   const std::vector<uint32_t> &formalOuts() const { return FormalOut; }
 
-  /// All variable keys that materialized in this function.
-  std::vector<VarKey> allKeys() const;
+  /// Calls \p Fn(Key, NumVersions) for every variable key that
+  /// materialized in this function, in unspecified order.
+  template <typename FnT> void forEachKey(FnT Fn) const {
+    for (const auto &[Key, Descs] : Defs)
+      Fn(Key, static_cast<uint32_t>(Descs.size()));
+  }
 
 private:
   class Builder;

@@ -12,6 +12,7 @@
 #include "ir/IR.h"
 #include "support/RawStream.h"
 
+#include <algorithm>
 #include <cassert>
 #include <unordered_set>
 
@@ -36,10 +37,36 @@ uint32_t VFG::nodeId(const Function *Fn, VarKey Key, uint32_t Version) const {
   return Id;
 }
 
+uint32_t VFG::keySlot(const Function *Fn, VarKey Key) const {
+  uint32_t F = Fn->getId();
+  if (F + 1 >= FnSlotBegin.size())
+    return ~0u;
+  const uint32_t NumTL = FnSlotBegin[F + 1] - FnSlotBegin[F] -
+                         (FnMemBegin[F + 1] - FnMemBegin[F]);
+  if (Key.Sp == Space::TopLevel)
+    return Key.Id < NumTL ? FnSlotBegin[F] + Key.Id : ~0u;
+  auto Begin = MemLocs.begin() + FnMemBegin[F];
+  auto End = MemLocs.begin() + FnMemBegin[F + 1];
+  auto It = std::lower_bound(Begin, End, Key.Id);
+  if (It == End || *It != Key.Id)
+    return ~0u;
+  return FnSlotBegin[F] + NumTL + static_cast<uint32_t>(It - Begin);
+}
+
 uint32_t VFG::findNode(const Function *Fn, VarKey Key,
                        uint32_t Version) const {
-  auto It = NodeIds.find(NodeRef{Fn, Key, Version});
-  return It == NodeIds.end() ? ~0u : It->second;
+  uint32_t Slot = keySlot(Fn, Key);
+  if (Slot == ~0u || Version >= SlotBegin[Slot + 1] - SlotBegin[Slot])
+    return ~0u;
+  return VersionNode[SlotBegin[Slot] + Version];
+}
+
+uint32_t VFG::depOwner(uint32_t Slot) const {
+  assert(Slot < DepEdges.size() && "dependency slot out of range");
+  // The owner is the last node whose first slot is <= Slot; nodes without
+  // dependencies share their successor's offset, so take the last one.
+  auto It = std::upper_bound(DepBegin.begin(), DepBegin.end(), Slot);
+  return static_cast<uint32_t>(It - DepBegin.begin()) - 1;
 }
 
 uint32_t VFG::originMask() const {
@@ -49,11 +76,18 @@ uint32_t VFG::originMask() const {
   return Mask;
 }
 
-UpdateKind VFG::storeUpdateKind(const Instruction *I, uint32_t Loc) const {
-  uint64_t Key = (static_cast<uint64_t>(I->getId()) << 32) | Loc;
-  auto It = StoreKinds.find(Key);
-  assert(It != StoreKinds.end() && "no chi recorded for this store/loc");
-  return It->second;
+UpdateKind VFG::storeUpdateKind(uint32_t Node) const {
+  switch (Origins[Node]) {
+  case NodeOrigin::StoreChiStrong:
+    return UpdateKind::Strong;
+  case NodeOrigin::StoreChiSemi:
+    return UpdateKind::SemiStrong;
+  case NodeOrigin::StoreChiWeak:
+    return UpdateKind::Weak;
+  default:
+    assert(false && "node is not a store chi");
+    return UpdateKind::Weak;
+  }
 }
 
 const char *vfg::nodeOriginName(NodeOrigin O) {
@@ -141,7 +175,7 @@ void VFG::dumpDot(raw_ostream &OS,
     OS << "];\n";
   }
   for (uint32_t Id = 0; Id != numNodes(); ++Id) {
-    for (const Edge &E : Deps[Id]) {
+    for (const Edge &E : deps(Id)) {
       OS << "  n" << Id << " -> n" << E.Node;
       if (E.Kind == EdgeKind::Call)
         OS << " [color=blue, label=\"call@" << E.CallSite << "\"]";
@@ -157,18 +191,102 @@ void VFG::dumpDot(raw_ostream &OS,
 // VFGBuilder
 //===----------------------------------------------------------------------===//
 
+void VFGBuilder::buildVersionTables() {
+  const auto &Fns = M.functions();
+  G.FnSlotBegin.assign(Fns.size() + 1, 0);
+  G.FnMemBegin.assign(Fns.size() + 1, 0);
+  // Key slots: every top-level variable, then every memory location live
+  // on entry (the only memory keys memory SSA versions).
+  for (const auto &F : Fns) {
+    uint32_t Id = F->getId();
+    assert(Id < Fns.size() && "function ids are not dense");
+    const std::vector<uint32_t> &Locs = SSA.get(F.get()).formalIns();
+    assert(std::is_sorted(Locs.begin(), Locs.end()) &&
+           "formal-in locations are not sorted");
+    G.FnSlotBegin[Id + 1] =
+        static_cast<uint32_t>(F->variables().size() + Locs.size());
+    G.FnMemBegin[Id + 1] = static_cast<uint32_t>(Locs.size());
+  }
+  for (size_t I = 1; I <= Fns.size(); ++I) {
+    G.FnSlotBegin[I] += G.FnSlotBegin[I - 1];
+    G.FnMemBegin[I] += G.FnMemBegin[I - 1];
+  }
+  G.MemLocs.resize(G.FnMemBegin.back());
+  G.SlotBegin.assign(G.FnSlotBegin.back() + 1, 0);
+  LocSlot.assign(PA.numLocations(), ~0u);
+  for (const auto &F : Fns) {
+    const FunctionSSA &FS = SSA.get(F.get());
+    const std::vector<uint32_t> &Locs = FS.formalIns();
+    std::copy(Locs.begin(), Locs.end(),
+              G.MemLocs.begin() + G.FnMemBegin[F->getId()]);
+    enterFunction(F.get());
+    const uint32_t TLBase = G.FnSlotBegin[F->getId()];
+    FS.forEachKey([&](VarKey Key, uint32_t NumVersions) {
+      uint32_t Slot =
+          Key.Sp == Space::TopLevel ? TLBase + Key.Id : LocSlot[Key.Id];
+      assert(Slot != ~0u && Slot < G.FnSlotBegin[F->getId() + 1] &&
+             "SSA variable without a version-table slot");
+      G.SlotBegin[Slot + 1] = NumVersions;
+    });
+    leaveFunction();
+  }
+  for (size_t I = 1; I != G.SlotBegin.size(); ++I)
+    G.SlotBegin[I] += G.SlotBegin[I - 1];
+  G.VersionNode.assign(G.SlotBegin.back(), ~0u);
+}
+
+void VFGBuilder::enterFunction(const Function *F) {
+  CurFn = F;
+  const uint32_t Id = F->getId();
+  const uint32_t MemSlot0 = G.FnSlotBegin[Id + 1] -
+                            (G.FnMemBegin[Id + 1] - G.FnMemBegin[Id]);
+  for (uint32_t I = G.FnMemBegin[Id]; I != G.FnMemBegin[Id + 1]; ++I)
+    LocSlot[G.MemLocs[I]] = MemSlot0 + (I - G.FnMemBegin[Id]);
+}
+
+void VFGBuilder::leaveFunction() {
+  const uint32_t Id = CurFn->getId();
+  for (uint32_t I = G.FnMemBegin[Id]; I != G.FnMemBegin[Id + 1]; ++I)
+    LocSlot[G.MemLocs[I]] = ~0u;
+  CurFn = nullptr;
+}
+
+void VFGBuilder::collectReturns() {
+  Returns.resize(M.functions().size());
+  for (const auto &F : M.functions()) {
+    const FunctionSSA &FS = SSA.get(F.get());
+    for (const auto &BB : F->blocks())
+      for (const auto &I : BB->instructions())
+        if (const auto *R = dyn_cast<RetInst>(I.get()))
+          if (const InstSSA *RInfo = FS.instInfo(R)) {
+            assert(std::is_sorted(RInfo->Mus.begin(), RInfo->Mus.end(),
+                                  [](const ssa::MemUse &A,
+                                     const ssa::MemUse &B) {
+                                    return A.Loc < B.Loc;
+                                  }) &&
+                   "return mus are not sorted by location");
+            Returns[F->getId()].push_back({R, RInfo});
+          }
+  }
+}
+
 uint32_t VFGBuilder::getNode(const Function *Fn, VarKey Key,
                              uint32_t Version) {
-  VFG::NodeRef Ref{Fn, Key, Version};
-  auto It = G.NodeIds.find(Ref);
-  if (It != G.NodeIds.end())
-    return It->second;
-  uint32_t Id = static_cast<uint32_t>(G.Nodes.size());
+  uint32_t Slot = Fn == CurFn && Key.Sp == Space::Memory ? LocSlot[Key.Id]
+                                                         : G.keySlot(Fn, Key);
+  return nodeAtSlot(Fn, Key, Slot, Version);
+}
+
+uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, VarKey Key, uint32_t Slot,
+                                uint32_t Version) {
+  assert(Slot != ~0u && Version < G.SlotBegin[Slot + 1] - G.SlotBegin[Slot] &&
+         "VFG node for a version memory SSA never created");
+  uint32_t &Id = G.VersionNode[G.SlotBegin[Slot] + Version];
+  if (Id != ~0u)
+    return Id;
+  Id = static_cast<uint32_t>(G.Nodes.size());
   G.Nodes.push_back({Fn, Key, Version});
   G.Origins.push_back(NodeOrigin::Unknown);
-  G.Deps.emplace_back();
-  G.Users.emplace_back();
-  G.NodeIds.emplace(Ref, Id);
   return Id;
 }
 
@@ -178,12 +296,98 @@ void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O) {
 
 void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
                         uint32_t CallSite) {
-  for (const Edge &E : G.Deps[From])
-    if (E.Node == To && E.Kind == Kind && E.CallSite == CallSite)
-      return;
-  G.Deps[From].push_back({To, Kind, CallSite});
-  G.Users[To].push_back({From, Kind, CallSite});
-  ++G.NumEdges;
+  Pending.push_back({From, {To, Kind, CallSite}});
+}
+
+void VFGBuilder::freeze() {
+  const uint32_t N = G.numNodes();
+  const uint32_t P = static_cast<uint32_t>(Pending.size());
+
+  // Stable counting sort of the pending edges by source node: Order lists
+  // pending indices grouped by node, each group in insertion order.
+  std::vector<uint32_t> Begin(N + 1, 0);
+  for (const PendingEdge &PE : Pending)
+    ++Begin[PE.From + 1];
+  for (uint32_t I = 0; I != N; ++I)
+    Begin[I + 1] += Begin[I];
+  std::vector<uint32_t> Order(P);
+  {
+    std::vector<uint32_t> Cursor(Begin.begin(), Begin.end() - 1);
+    for (uint32_t I = 0; I != P; ++I)
+      Order[Cursor[Pending[I].From]++] = I;
+  }
+
+  // Within each group only the first copy of an edge survives, exactly
+  // like adding edges one by one with a duplicate check. Long groups (a
+  // formal parameter of a much-called function) dedup by sorting.
+  std::vector<uint8_t> Keep(P, 1);
+  std::vector<uint32_t> Scratch;
+  auto Less = [&](uint32_t A, uint32_t B) {
+    const Edge &EA = Pending[A].E, &EB = Pending[B].E;
+    if (EA.Node != EB.Node)
+      return EA.Node < EB.Node;
+    if (EA.Kind != EB.Kind)
+      return EA.Kind < EB.Kind;
+    if (EA.CallSite != EB.CallSite)
+      return EA.CallSite < EB.CallSite;
+    return A < B;
+  };
+  for (uint32_t Node = 0; Node != N; ++Node) {
+    const uint32_t *First = Order.data() + Begin[Node];
+    const uint32_t *Last = Order.data() + Begin[Node + 1];
+    if (Last - First < 2)
+      continue;
+    if (Last - First <= 16) {
+      for (const uint32_t *I = First + 1; I != Last; ++I)
+        for (const uint32_t *J = First; J != I; ++J)
+          if (Keep[*J] && Pending[*J].E == Pending[*I].E) {
+            Keep[*I] = 0;
+            break;
+          }
+      continue;
+    }
+    Scratch.assign(First, Last);
+    std::sort(Scratch.begin(), Scratch.end(), Less);
+    for (size_t I = 1; I != Scratch.size(); ++I)
+      if (Pending[Scratch[I]].E == Pending[Scratch[I - 1]].E)
+        Keep[Scratch[I]] = 0;
+  }
+
+  // Dependency CSR: the surviving edges of each group, in group order.
+  G.DepBegin.assign(N + 1, 0);
+  G.DepEdges.clear();
+  for (uint32_t Node = 0; Node != N; ++Node) {
+    for (uint32_t I = Begin[Node]; I != Begin[Node + 1]; ++I)
+      if (Keep[Order[I]])
+        G.DepEdges.push_back(Pending[Order[I]].E);
+    G.DepBegin[Node + 1] = static_cast<uint32_t>(G.DepEdges.size());
+  }
+  std::vector<uint32_t>().swap(Order);
+
+  // User CSR: the surviving edges counting-sorted by target, in global
+  // insertion order within each target.
+  G.UserBegin.assign(N + 1, 0);
+  for (uint32_t I = 0; I != P; ++I)
+    if (Keep[I])
+      ++G.UserBegin[Pending[I].E.Node + 1];
+  for (uint32_t I = 0; I != N; ++I)
+    G.UserBegin[I + 1] += G.UserBegin[I];
+  G.UserEdges.resize(G.DepEdges.size());
+  std::copy(G.UserBegin.begin(), G.UserBegin.end() - 1, Begin.begin());
+  for (uint32_t I = 0; I != P; ++I) {
+    if (!Keep[I])
+      continue;
+    const PendingEdge &PE = Pending[I];
+    G.UserEdges[Begin[PE.E.Node]++] = {PE.From, PE.E.Kind, PE.E.CallSite};
+  }
+  std::vector<PendingEdge>().swap(Pending);
+
+  std::sort(CutObjects.begin(), CutObjects.end());
+  for (uint32_t Obj : CutObjects) {
+    if (G.SemiStrongCuts.empty() || G.SemiStrongCuts.back().first != Obj)
+      G.SemiStrongCuts.push_back({Obj, 0});
+    ++G.SemiStrongCuts.back().second;
+  }
 }
 
 uint32_t VFGBuilder::operandNode(const Function *Fn, const InstSSA &Info,
@@ -300,7 +504,6 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
 
     const MemObject *Obj = PA.location(Chi.Loc).Obj;
     bool Singleton = Pts.size() == 1 && !PA.isCollapsedLoc(Chi.Loc);
-    uint64_t StatKey = (static_cast<uint64_t>(St.getId()) << 32) | Chi.Loc;
 
     // Traditional strong update: one concrete cell.
     if (Opts.StrongUpdates && Singleton && !Obj->isHeap()) {
@@ -314,7 +517,6 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
         OneInstance = AllocFn && !CG->isRecursive(AllocFn);
       }
       if (OneInstance) {
-        G.StoreKinds[StatKey] = UpdateKind::Strong;
         setOrigin(NewNode, NodeOrigin::StoreChiStrong);
         ++G.NumStrong;
         continue; // Old version killed: no edge to Chi.OldVersion.
@@ -349,10 +551,9 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
           uint32_t BypassNode =
               getNode(&F, {Space::Memory, Chi.Loc}, AnchorChi->OldVersion);
           addDep(NewNode, BypassNode, EdgeKind::Direct);
-          G.StoreKinds[StatKey] = UpdateKind::SemiStrong;
           setOrigin(NewNode, NodeOrigin::StoreChiSemi);
           ++G.NumSemi;
-          ++G.SemiStrongCuts[Obj->getId()];
+          CutObjects.push_back(Obj->getId());
           continue;
         }
       }
@@ -361,7 +562,6 @@ void VFGBuilder::buildStoreChis(const Function &F, const StoreInst &St,
     // Weak update: merge with the previous version.
     uint32_t OldNode = getNode(&F, {Space::Memory, Chi.Loc}, Chi.OldVersion);
     addDep(NewNode, OldNode, EdgeKind::Direct);
-    G.StoreKinds[StatKey] = UpdateKind::Weak;
     ++G.NumWeak;
   }
 }
@@ -382,13 +582,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     addDep(Formal, Actual, EdgeKind::Call, CallSite);
   }
 
-  // Collect the callee's reachable returns once.
-  std::vector<std::pair<const RetInst *, const InstSSA *>> Rets;
-  for (const auto &BB : Callee->blocks())
-    for (const auto &I : BB->instructions())
-      if (const auto *R = dyn_cast<RetInst>(I.get()))
-        if (const InstSSA *RInfo = CalleeSSA.instInfo(R))
-          Rets.push_back({R, RInfo});
+  const std::vector<ReturnSite> &Rets = Returns[Callee->getId()];
 
   // Return value -> call result.
   if (Call.getDef()) {
@@ -406,27 +600,49 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     }
   }
 
-  // Version of every location visible just before the call.
-  std::unordered_map<uint32_t, uint32_t> VersionAtCall;
-  for (const ssa::MemUse &Mu : Info.Mus)
-    VersionAtCall[Mu.Loc] = Mu.Version;
-  for (const MemDef &Chi : Info.Chis)
-    VersionAtCall.emplace(Chi.Loc, Chi.OldVersion);
-
-  // Caller state -> callee virtual input parameters. Wrapper origins have
-  // no caller-side version (they are cloned away) and take no input.
-  for (uint32_t Loc : CalleeSSA.formalIns()) {
-    auto It = VersionAtCall.find(Loc);
-    if (It == VersionAtCall.end())
+  // Caller state -> callee virtual input parameters: the version of each
+  // location visible just before the call (its mu, else its chi's old
+  // version). Wrapper origins have no caller-side version (they are
+  // cloned away) and take no input. Mus, chis and formal-ins are all
+  // sorted by location, so one merge pass pairs them up.
+  assert(std::is_sorted(Info.Mus.begin(), Info.Mus.end(),
+                        [](const ssa::MemUse &A, const ssa::MemUse &B) {
+                          return A.Loc < B.Loc;
+                        }) &&
+         std::is_sorted(Info.Chis.begin(), Info.Chis.end(),
+                        [](const MemDef &A, const MemDef &B) {
+                          return A.Loc < B.Loc;
+                        }) &&
+         "call mus/chis are not sorted by location");
+  const std::vector<uint32_t> &FormalIns = CalleeSSA.formalIns();
+  const uint32_t CalleeMemSlot0 =
+      G.FnSlotBegin[Callee->getId()] +
+      static_cast<uint32_t>(Callee->variables().size());
+  size_t MuIdx = 0, ChiIdx = 0;
+  for (uint32_t I = 0; I != FormalIns.size(); ++I) {
+    const uint32_t Loc = FormalIns[I];
+    while (MuIdx != Info.Mus.size() && Info.Mus[MuIdx].Loc < Loc)
+      ++MuIdx;
+    while (ChiIdx != Info.Chis.size() && Info.Chis[ChiIdx].Loc < Loc)
+      ++ChiIdx;
+    uint32_t Version;
+    if (MuIdx != Info.Mus.size() && Info.Mus[MuIdx].Loc == Loc)
+      Version = Info.Mus[MuIdx].Version;
+    else if (ChiIdx != Info.Chis.size() && Info.Chis[ChiIdx].Loc == Loc)
+      Version = Info.Chis[ChiIdx].OldVersion;
+    else
       continue;
-    uint32_t FormalIn = getNode(Callee, {Space::Memory, Loc}, 0);
+    uint32_t FormalIn =
+        nodeAtSlot(Callee, {Space::Memory, Loc}, CalleeMemSlot0 + I, 0);
     setOrigin(FormalIn, NodeOrigin::FormalIn);
-    addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, It->second),
+    addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
            EdgeKind::Call, CallSite);
   }
 
   // Chis at the call: clone allocations behave like allocation sites; mod
-  // chis receive the callee's virtual output parameters.
+  // chis receive the callee's virtual output parameters, read by the mus
+  // at its returns (sorted by location, so each return keeps a cursor).
+  std::vector<size_t> RetCursor(Rets.size(), 0);
   const Function *OwnFn = &F;
   for (const MemDef &Chi : Info.Chis) {
     uint32_t NewNode =
@@ -443,15 +659,15 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     }
     assert(Chi.Kind == ChiKind::CallMod && "unexpected chi kind at call");
     setOrigin(NewNode, NodeOrigin::CallModChi);
-    for (const auto &[R, RInfo] : Rets) {
-      for (const ssa::MemUse &Mu : RInfo->Mus) {
-        if (Mu.Loc == Chi.Loc) {
-          addDep(NewNode, getNode(Callee, {Space::Memory, Chi.Loc},
-                                  Mu.Version),
-                 EdgeKind::Ret, CallSite);
-          break;
-        }
-      }
+    for (size_t R = 0; R != Rets.size(); ++R) {
+      const std::vector<ssa::MemUse> &Mus = Rets[R].Info->Mus;
+      size_t &Cur = RetCursor[R];
+      while (Cur != Mus.size() && Mus[Cur].Loc < Chi.Loc)
+        ++Cur;
+      if (Cur != Mus.size() && Mus[Cur].Loc == Chi.Loc)
+        addDep(NewNode,
+               getNode(Callee, {Space::Memory, Chi.Loc}, Mus[Cur].Version),
+               EdgeKind::Ret, CallSite);
     }
   }
 }
@@ -550,6 +766,7 @@ void VFGBuilder::buildInstruction(const Function &F, const Instruction &I,
 
 void VFGBuilder::buildFunction(const Function &F) {
   const FunctionSSA &FS = SSA.get(&F);
+  enterFunction(&F);
 
   for (const auto &BB : F.blocks()) {
     if (!FS.getCFG().isReachable(BB->getId()))
@@ -567,14 +784,15 @@ void VFGBuilder::buildFunction(const Function &F) {
       buildInstruction(F, *I, *Info);
     }
   }
+  leaveFunction();
 }
 
 VFG VFGBuilder::build() {
   // Nodes 0 and 1 are the T and F roots.
   G.Nodes.resize(2);
   G.Origins.resize(2, NodeOrigin::Root);
-  G.Deps.resize(2);
-  G.Users.resize(2);
+  buildVersionTables();
+  collectReturns();
 
   for (const auto &F : M.functions())
     buildFunction(*F);
@@ -608,5 +826,6 @@ VFG VFGBuilder::build() {
         addDep(Id, VFG::RootT, EdgeKind::Direct);
     }
   }
+  freeze();
   return std::move(G);
 }

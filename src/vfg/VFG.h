@@ -31,7 +31,8 @@
 #include "ssa/MemorySSA.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <span>
+#include <utility>
 #include <vector>
 
 namespace usher {
@@ -42,6 +43,7 @@ namespace ir {
 class Function;
 class Instruction;
 class Module;
+class RetInst;
 class Variable;
 } // namespace ir
 
@@ -64,6 +66,7 @@ struct Edge {
   uint32_t Node;             ///< The node depended on / the dependent user.
   EdgeKind Kind;
   uint32_t CallSite = ~0u;   ///< Instruction id of the CallInst, if labeled.
+  bool operator==(const Edge &O) const = default;
 };
 
 /// How a particular store's chi was translated.
@@ -98,7 +101,12 @@ enum class NodeOrigin : uint8_t {
 /// Short mnemonic for \p O (dot dumps and diagnostics).
 const char *nodeOriginName(NodeOrigin O);
 
-/// The value-flow graph of a whole program.
+/// The value-flow graph of a whole program, frozen in compressed sparse
+/// row (CSR) form: one flat array of dependency edges and one of user
+/// edges, each sliced per node by a uint32 offset array. A node's edges
+/// keep the order in which the builder first added them. Nodes are
+/// located by (function, variable, version) through dense per-function
+/// version tables, not a hash map.
 class VFG {
 public:
   /// Ids of the two root nodes.
@@ -124,13 +132,30 @@ public:
   const NodeData &node(uint32_t Id) const { return Nodes[Id]; }
 
   /// Dependency edges of \p Id (what its value is computed from).
-  const std::vector<Edge> &deps(uint32_t Id) const { return Deps[Id]; }
+  std::span<const Edge> deps(uint32_t Id) const {
+    return {DepEdges.data() + DepBegin[Id], DepEdges.data() + DepBegin[Id + 1]};
+  }
+
+  /// Reverse edges of \p Id (who consumes its value).
+  std::span<const Edge> users(uint32_t Id) const {
+    return {UserEdges.data() + UserBegin[Id],
+            UserEdges.data() + UserBegin[Id + 1]};
+  }
+
+  /// Dependency edges are numbered 0..numEdges()-1 by their slot in the
+  /// flat array: the I-th dependency of \p Id sits in slot
+  /// depSlot(Id) + I. Opt II's redirect overlay is a bitset over slots.
+  uint32_t depSlot(uint32_t Id) const { return DepBegin[Id]; }
+  const Edge &depAt(uint32_t Slot) const { return DepEdges[Slot]; }
+  /// The node whose dependency list holds \p Slot.
+  uint32_t depOwner(uint32_t Slot) const;
+
+  /// User edges are numbered the same way (slot userSlot(Id) + I).
+  uint32_t userSlot(uint32_t Id) const { return UserBegin[Id]; }
+  const Edge &userAt(uint32_t Slot) const { return UserEdges[Slot]; }
 
   /// Provenance of \p Id (see NodeOrigin).
   NodeOrigin origin(uint32_t Id) const { return Origins[Id]; }
-
-  /// Reverse edges of \p Id (who consumes its value).
-  const std::vector<Edge> &users(uint32_t Id) const { return Users[Id]; }
 
   /// Id of an existing node; asserts that it exists.
   uint32_t nodeId(const ir::Function *Fn, ssa::VarKey Key,
@@ -145,12 +170,12 @@ public:
     return CriticalUses;
   }
 
-  /// Update flavor of the chi for \p Loc at store \p I.
-  UpdateKind storeUpdateKind(const ir::Instruction *I, uint32_t Loc) const;
+  /// Update flavor of store chi node \p Node (read off its NodeOrigin).
+  UpdateKind storeUpdateKind(uint32_t Node) const;
 
   /// Number of semi-strong cuts performed, per allocation anchor object id
-  /// (the S column of Table 1 aggregates this).
-  const std::unordered_map<uint32_t, uint32_t> &semiStrongCuts() const {
+  /// (the S column of Table 1 aggregates this); sorted by object id.
+  const std::vector<std::pair<uint32_t, uint32_t>> &semiStrongCuts() const {
     return SemiStrongCuts;
   }
 
@@ -158,7 +183,7 @@ public:
   uint64_t numStrongStoreChis() const { return NumStrong; }
   uint64_t numSemiStrongStoreChis() const { return NumSemi; }
   uint64_t numWeakStoreChis() const { return NumWeak; }
-  uint64_t numEdges() const { return NumEdges; }
+  uint64_t numEdges() const { return DepEdges.size(); }
 
   /// Coverage hook for the fuzzer's analysis-feature scheduler: a bitmask
   /// with bit static_cast<unsigned>(O) set for every NodeOrigin kind this
@@ -180,32 +205,25 @@ public:
 private:
   friend class VFGBuilder;
 
-  struct NodeRef {
-    const ir::Function *Fn;
-    ssa::VarKey Key;
-    uint32_t Version;
-    bool operator==(const NodeRef &O) const {
-      return Fn == O.Fn && Key == O.Key && Version == O.Version;
-    }
-  };
-  struct NodeRefHash {
-    size_t operator()(const NodeRef &R) const {
-      size_t H = std::hash<const void *>()(R.Fn);
-      H ^= ssa::VarKeyHash()(R.Key) + 0x9E3779B9 + (H << 6) + (H >> 2);
-      H ^= R.Version + 0x9E3779B9 + (H << 6) + (H >> 2);
-      return H;
-    }
-  };
+  /// Slot of (Fn, Key) in the version tables, or ~0u.
+  uint32_t keySlot(const ir::Function *Fn, ssa::VarKey Key) const;
 
   std::vector<NodeData> Nodes;
   std::vector<NodeOrigin> Origins;
-  std::vector<std::vector<Edge>> Deps;
-  std::vector<std::vector<Edge>> Users;
-  std::unordered_map<NodeRef, uint32_t, NodeRefHash> NodeIds;
+  std::vector<uint32_t> DepBegin, UserBegin; ///< numNodes() + 1 offsets.
+  std::vector<Edge> DepEdges, UserEdges;
+
+  /// Version tables. Function F (by id) owns the key slots starting at
+  /// FnSlotBegin[F]: first its top-level variables by id, then its memory
+  /// locations in the ascending order of MemLocs[FnMemBegin[F] ..
+  /// FnMemBegin[F + 1]). Slot K's versions are VersionNode[
+  /// SlotBegin[K] .. SlotBegin[K + 1]), ~0u where no node was created.
+  std::vector<uint32_t> FnSlotBegin, FnMemBegin, MemLocs;
+  std::vector<uint32_t> SlotBegin, VersionNode;
+
   std::vector<CriticalUse> CriticalUses;
-  std::unordered_map<uint64_t, UpdateKind> StoreKinds; // (instId<<32)|loc
-  std::unordered_map<uint32_t, uint32_t> SemiStrongCuts;
-  uint64_t NumStrong = 0, NumSemi = 0, NumWeak = 0, NumEdges = 0;
+  std::vector<std::pair<uint32_t, uint32_t>> SemiStrongCuts;
+  uint64_t NumStrong = 0, NumSemi = 0, NumWeak = 0;
 };
 
 /// Options controlling VFG construction.
@@ -228,7 +246,30 @@ public:
   VFG build();
 
 private:
+  /// One edge as the builder adds it, before freezing.
+  struct PendingEdge {
+    uint32_t From;
+    Edge E;
+  };
+
+  /// A reachable return of a callee with its SSA annotations.
+  struct ReturnSite {
+    const ir::RetInst *Ret;
+    const ssa::InstSSA *Info;
+  };
+
+  void buildVersionTables();
+  void freeze();
+
+  /// Makes \p F the function whose memory keys getNode() resolves through
+  /// the dense LocSlot index instead of a binary search.
+  void enterFunction(const ir::Function *F);
+  void leaveFunction();
+  void collectReturns();
+
   uint32_t getNode(const ir::Function *Fn, ssa::VarKey Key, uint32_t Version);
+  uint32_t nodeAtSlot(const ir::Function *Fn, ssa::VarKey Key, uint32_t Slot,
+                      uint32_t Version);
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
   void setOrigin(uint32_t Node, NodeOrigin O);
@@ -256,6 +297,16 @@ private:
   const analysis::CallGraph *CG;
   VFGOptions Opts;
   VFG G;
+  /// Edges in insertion order, duplicates included; freeze() sorts them
+  /// into the CSR arrays.
+  std::vector<PendingEdge> Pending;
+  /// Allocation anchor of every semi-strong cut, one entry per cut.
+  std::vector<uint32_t> CutObjects;
+  /// Key slot of each memory location of CurFn, ~0u elsewhere.
+  const ir::Function *CurFn = nullptr;
+  std::vector<uint32_t> LocSlot;
+  /// Per function id: its reachable returns.
+  std::vector<std::vector<ReturnSite>> Returns;
 };
 
 } // namespace vfg

@@ -49,6 +49,17 @@ struct Pipeline {
         ->instructions()[Idx]
         .get();
   }
+
+  /// The chi node store \p St defines for location \p Loc.
+  uint32_t storeChiNode(const VFG &G, const ir::Instruction *St,
+                        uint32_t Loc) const {
+    const ir::Function *Fn = St->getParent()->getParent();
+    for (const MemDef &Chi : SSA->get(Fn).instInfo(St)->Chis)
+      if (Chi.Loc == Loc)
+        return G.nodeId(Fn, {Space::Memory, Loc}, Chi.NewVersion);
+    ADD_FAILURE() << "store has no chi for location " << Loc;
+    return VFG::RootT;
+  }
 };
 
 //===----------------------------------------------------------------------===//
@@ -194,7 +205,8 @@ TEST(VFGTest, StrongUpdateOnGlobalScalar) {
   VFG G = P.buildVFG();
   const ir::Instruction *Store = P.instAt("main", 0, 1);
   uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
-  EXPECT_EQ(G.storeUpdateKind(Store, GLoc), UpdateKind::Strong);
+  EXPECT_EQ(G.storeUpdateKind(P.storeChiNode(G, Store, GLoc)),
+            UpdateKind::Strong);
   EXPECT_EQ(G.numStrongStoreChis(), 1u);
 }
 
@@ -213,7 +225,8 @@ TEST(VFGTest, WeakUpdateOnArray) {
   auto Pts = P.PA->pointsTo(
       P.M->findFunction("main")->findVariable("q"));
   ASSERT_EQ(Pts.size(), 1u);
-  EXPECT_EQ(G.storeUpdateKind(Store, Pts[0]), UpdateKind::Weak);
+  EXPECT_EQ(G.storeUpdateKind(P.storeChiNode(G, Store, Pts[0])),
+            UpdateKind::Weak);
 }
 
 TEST(VFGTest, WeakUpdateWhenPointerIsAmbiguous) {
@@ -369,6 +382,82 @@ TEST(VFGTest, InterproceduralEdgesAreLabeled) {
   ASSERT_EQ(G.deps(Formal).size(), 1u);
   EXPECT_EQ(G.deps(Formal)[0].Kind, vfg::EdgeKind::Call);
   EXPECT_NE(G.deps(Formal)[0].CallSite, ~0u);
+}
+
+TEST(VFGTest, DuplicateEdgesAreAddedOnce) {
+  Pipeline P(R"(
+    func main() {
+      x = 1;
+      y = x + x;
+      ret y;
+    }
+  )");
+  VFG G = P.buildVFG();
+  const ir::Function *Main = P.M->findFunction("main");
+  uint32_t XNode = G.nodeId(
+      Main, {Space::TopLevel, Main->findVariable("x")->getId()}, 1);
+  uint32_t YNode = G.nodeId(
+      Main, {Space::TopLevel, Main->findVariable("y")->getId()}, 1);
+  ASSERT_EQ(G.deps(YNode).size(), 1u);
+  EXPECT_EQ(G.deps(YNode)[0].Node, XNode);
+  ASSERT_EQ(G.users(XNode).size(), 1u);
+  EXPECT_EQ(G.users(XNode)[0].Node, YNode);
+}
+
+/// users() is the exact mirror of deps(): every dependency edge v -> w
+/// appears once among w's users as v (same kind and call site), and
+/// nothing else does. Dependency slots map back to their owners.
+TEST(VFGTest, UsersMirrorDeps) {
+  Pipeline P(R"(
+    global g[2] uninit;
+    func set(p, v) {
+      *p = v;
+      ret 0;
+    }
+    func get(p) {
+      x = *p;
+      ret x;
+    }
+    func main() {
+      h = alloc heap 2 uninit;
+      q = gep h, 1;
+      c = 1;
+      s = set(h, c);
+      s = set(q, c);
+      if c goto other;
+      s = set(g, 2);
+      goto join;
+    other:
+      s = set(g, c);
+    join:
+      a = get(h);
+      b = get(g);
+      d = a + b;
+      e = d + d;
+      ret e;
+    }
+  )");
+  VFG G = P.buildVFG();
+  uint64_t Users = 0;
+  for (uint32_t Id = 0; Id != G.numNodes(); ++Id) {
+    Users += G.users(Id).size();
+    for (uint32_t I = 0; I != G.deps(Id).size(); ++I) {
+      const vfg::Edge &D = G.deps(Id)[I];
+      EXPECT_EQ(G.depOwner(G.depSlot(Id) + I), Id);
+      unsigned Mirrors = 0;
+      for (const vfg::Edge &U : G.users(D.Node))
+        Mirrors += U == vfg::Edge{Id, D.Kind, D.CallSite};
+      EXPECT_EQ(Mirrors, 1u) << "edge n" << Id << " -> n" << D.Node;
+    }
+    for (const vfg::Edge &U : G.users(Id)) {
+      unsigned Mirrors = 0;
+      for (const vfg::Edge &D : G.deps(U.Node))
+        Mirrors += D == vfg::Edge{Id, U.Kind, U.CallSite};
+      EXPECT_EQ(Mirrors, 1u) << "user n" << U.Node << " of n" << Id;
+    }
+  }
+  EXPECT_EQ(Users, G.numEdges());
+  EXPECT_GT(G.numEdges(), 20u);
 }
 
 } // namespace

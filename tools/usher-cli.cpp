@@ -523,6 +523,8 @@ int main(int Argc, char **Argv) {
          << S.Solver.NumCollapsedNodes << " nodes)\n"
          << "unified cells:        " << S.Solver.NumUnifiedCells << '\n';
       OS << "analysis time:        " << S.AnalysisSeconds * 1000 << " ms\n";
+      for (const auto &[Name, Seconds] : S.PhaseSeconds)
+        OS << "phase " << Name << ": " << Seconds * 1000 << " ms\n";
       for (const core::ClientPlanInfo &CP : R.ClientPlans) {
         OS << "client " << core::clientName(CP.Kind) << ":       sinks "
            << CP.SinkCandidates << ", unsafe " << CP.UnsafeSinks
