@@ -329,7 +329,7 @@ bool InstrumentationPlanner::Impl::trySimplifyMFC(const VFG::NodeData &N,
         return false; // sigma(V) at I0 may hold a different version.
       uint32_t UseN = useNode(N.Fn, *Info, V);
       const VFG::NodeData &UseData = G.node(UseN);
-      const DefDesc &Desc = FS.defOf(UseData.Key, UseData.Version);
+      const DefDesc &Desc = FS.defAt(UseData.Slot, UseData.Version);
       bool ChainStep = Desc.K == DefDesc::Kind::Inst &&
                        (isa<CopyInst>(Desc.I) || isa<BinOpInst>(Desc.I)) &&
                        Depth + 1 < MaxDepth &&
@@ -623,7 +623,7 @@ void InstrumentationPlanner::Impl::process(uint32_t Node) {
     return;
   const VFG::NodeData &N = G.node(Node);
   const FunctionSSA &FS = SSA.get(N.Fn);
-  const DefDesc &Desc = FS.defOf(N.Key, N.Version);
+  const DefDesc &Desc = FS.defAt(N.Slot, N.Version);
   if (N.Key.Sp == Space::TopLevel)
     processTopLevel(Node, N, FS, Desc);
   else

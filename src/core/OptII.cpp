@@ -47,7 +47,7 @@ const Instruction *definingStatement(const VFG &G, const ssa::MemorySSA &SSA,
   if (G.isRoot(Node))
     return nullptr;
   const VFG::NodeData &N = G.node(Node);
-  const DefDesc &Desc = SSA.get(N.Fn).defOf(N.Key, N.Version);
+  const DefDesc &Desc = SSA.get(N.Fn).defAt(N.Slot, N.Version);
   return Desc.K == DefDesc::Kind::Inst ? Desc.I : nullptr;
 }
 

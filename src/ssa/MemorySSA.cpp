@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace usher;
 using namespace usher::ssa;
@@ -22,28 +21,43 @@ using namespace usher::ir;
 using analysis::ModRefAnalysis;
 using analysis::PointerAnalysis;
 
-const std::vector<PhiNode> FunctionSSA::EmptyPhis;
-
-const std::vector<PhiNode> &FunctionSSA::phisIn(const BasicBlock *BB) const {
-  auto It = Phis.find(BB);
-  return It == Phis.end() ? EmptyPhis : It->second;
-}
-
-const DefDesc &FunctionSSA::defOf(VarKey Key, uint32_t Version) const {
-  auto It = Defs.find(Key);
-  assert(It != Defs.end() && "variable never materialized");
-  assert(Version < It->second.size() && "version out of range");
-  return It->second[Version];
+uint32_t FunctionSSA::slotOf(VarKey Key) const {
+  if (Key.Sp == Space::TopLevel)
+    return Key.Id < NumTopLevel ? Key.Id : ~0u;
+  auto It = std::lower_bound(FormalIn.begin(), FormalIn.end(), Key.Id);
+  if (It == FormalIn.end() || *It != Key.Id)
+    return ~0u;
+  return NumTopLevel + static_cast<uint32_t>(It - FormalIn.begin());
 }
 
 //===----------------------------------------------------------------------===//
 // Builder
 //===----------------------------------------------------------------------===//
 
+namespace {
+/// Dense location -> key slot index of the function a thread is building;
+/// ~0u for every location between builds, so each build maps and unmaps
+/// only its own formal-ins.
+thread_local std::vector<uint32_t> LocSlotScratch;
+} // namespace
+
+/// Builds the flat SSA form in four passes over the function:
+///  1. placeMuChi: lays out every reachable instruction's top-level uses,
+///     mus and chis (versions still unset) and counts the defs per slot;
+///  2. placePhis: the iterated dominance frontier of every slot's def
+///     blocks, phis grouped by block in ascending slot order;
+///  3. layout: the CSR version table and each phi's incoming slice;
+///  4. rename: a DFS over the dominator tree that keeps the current
+///     version of every slot plus an undo trail, and fills in versions,
+///     definition sites and incoming arms.
 class FunctionSSA::Builder {
 public:
   Builder(FunctionSSA &S, const PointerAnalysis &PA, const ModRefAnalysis &MR)
-      : S(S), F(S.F), PA(PA), MR(MR) {}
+      : S(S), F(S.F), PA(PA), MR(MR), LocSlot(LocSlotScratch) {}
+  ~Builder() {
+    for (uint32_t Loc : S.FormalIn)
+      LocSlot[Loc] = ~0u;
+  }
 
   void run();
 
@@ -51,29 +65,41 @@ private:
   void collectFormals();
   void placeMuChi();
   void placePhis();
+  void layout();
   void rename();
-
-  uint32_t freshVersion(VarKey Key, DefDesc Desc) {
-    auto &Descs = S.Defs[Key];
-    Descs.push_back(Desc);
-    return static_cast<uint32_t>(Descs.size() - 1);
-  }
+  void processBlock(const BasicBlock *BB);
+  /// Gives \p Slot its next version, defined by \p Desc, and makes it
+  /// current (recording the previous one on the undo trail).
+  uint32_t define(uint32_t Slot, DefDesc Desc);
 
   FunctionSSA &S;
   const Function &F;
   const PointerAnalysis &PA;
   const ModRefAnalysis &MR;
+  std::vector<uint32_t> &LocSlot;
+  uint32_t NumSlots = 0;
 
-  // Pre-versioning mu/chi placement.
-  std::unordered_map<const Instruction *, std::vector<uint32_t>> MuLocs;
-  std::unordered_map<const Instruction *,
-                     std::vector<std::pair<uint32_t, ChiKind>>>
-      ChiLocs;
+  /// Per instruction index: its slices of S.TLUses, S.Mus and S.Chis
+  /// (NumInsts + 1 offsets each).
+  std::vector<uint32_t> UseBegin, MuBegin, ChiBegin;
+  /// (slot, block id) of every def in a reachable block, in layout order.
+  std::vector<std::pair<uint32_t, uint32_t>> DefSites;
+  /// Per slot: defs (instruction defs and chis) and phis.
+  std::vector<uint32_t> NumDefs, NumPhis;
+  /// Per phi: its slot.
+  std::vector<uint32_t> PhiSlot;
+  /// Per block: reachable predecessor edges, the start of its phis'
+  /// incoming slices (each phi owns InCount[Id] consecutive arms) and how
+  /// many arms of each slice the renaming has filled.
+  std::vector<uint32_t> InCount, InBegin, InFilled;
 
-  // Blocks containing a def of each key (entry is implicit for all keys).
-  std::unordered_map<VarKey, std::vector<const BasicBlock *>, VarKeyHash>
-      DefBlocks;
-  std::vector<VarKey> AllKeys;
+  /// Renaming state: per slot the next fresh and the current version.
+  std::vector<uint32_t> NextVersion, Cur;
+  struct Undo {
+    uint32_t Slot;
+    uint32_t Prev;
+  };
+  std::vector<Undo> Trail;
 };
 
 void FunctionSSA::Builder::collectFormals() {
@@ -81,151 +107,57 @@ void FunctionSSA::Builder::collectFormals() {
   In.unionWith(MR.mod(&F));
   S.FormalIn = In.toVector();
   S.FormalOut = MR.mod(&F).toVector();
+  S.NumTopLevel = static_cast<uint32_t>(F.variables().size());
+  NumSlots = S.NumTopLevel + static_cast<uint32_t>(S.FormalIn.size());
+  if (LocSlot.size() < PA.numLocations())
+    LocSlot.resize(PA.numLocations(), ~0u);
+  for (uint32_t I = 0; I != S.FormalIn.size(); ++I)
+    LocSlot[S.FormalIn[I]] = S.NumTopLevel + I;
 }
 
 void FunctionSSA::Builder::placeMuChi() {
-  for (const auto &BB : F.blocks()) {
-    if (!S.CFG.isReachable(BB->getId()))
-      continue;
-    for (const auto &I : BB->instructions()) {
-      if (const auto *Ld = dyn_cast<LoadInst>(I.get())) {
-        MuLocs[I.get()] = PA.pointsTo(Ld->getPtr());
-      } else if (const auto *St = dyn_cast<StoreInst>(I.get())) {
-        auto &Chis = ChiLocs[I.get()];
-        for (uint32_t Loc : PA.pointsTo(St->getPtr()))
-          Chis.push_back({Loc, ChiKind::Store});
-      } else if (const auto *A = dyn_cast<AllocInst>(I.get())) {
-        auto &Chis = ChiLocs[I.get()];
-        for (unsigned Loc : PA.locsOfObject(A->getObject()))
-          Chis.push_back({Loc, ChiKind::Alloc});
-      } else if (const auto *Call = dyn_cast<CallInst>(I.get())) {
-        // Reads feed the callee's virtual input parameters; writes become
-        // chis whose old version doubles as the input for mod-only
-        // locations. Clone locations are "allocated" here and take no
-        // input at all.
-        std::unordered_set<uint32_t> CloneLocs;
-        for (const MemObject *Clone : PA.clonesAt(Call))
-          for (unsigned Loc : PA.locsOfObject(Clone))
-            CloneLocs.insert(Loc);
-        auto &Mus = MuLocs[I.get()];
-        MR.refAt(Call).forEach([&](size_t Loc) {
-          if (!CloneLocs.count(static_cast<uint32_t>(Loc)))
-            Mus.push_back(static_cast<uint32_t>(Loc));
-        });
-        auto &Chis = ChiLocs[I.get()];
-        MR.modAt(Call).forEach([&](size_t Loc) {
-          ChiKind Kind = CloneLocs.count(static_cast<uint32_t>(Loc))
-                             ? ChiKind::CloneAlloc
-                             : ChiKind::CallMod;
-          Chis.push_back({static_cast<uint32_t>(Loc), Kind});
-        });
-      } else if (isa<RetInst>(I.get())) {
-        // Virtual output parameters are read at every return.
-        MuLocs[I.get()] = S.FormalOut;
-      }
-    }
-  }
-}
+  const size_t NumInsts = F.instructionCount();
+  S.Insts.resize(NumInsts);
+  UseBegin.reserve(NumInsts + 1);
+  MuBegin.reserve(NumInsts + 1);
+  ChiBegin.reserve(NumInsts + 1);
+  NumDefs.assign(NumSlots, 0);
 
-void FunctionSSA::Builder::placePhis() {
-  // Enumerate keys: all top-level variables plus all formal-in locations.
-  for (const auto &V : F.variables())
-    AllKeys.push_back({Space::TopLevel, V->getId()});
-  for (uint32_t Loc : S.FormalIn)
-    AllKeys.push_back({Space::Memory, Loc});
-
-  // Version 0 (live-on-entry) exists for every key.
-  for (VarKey Key : AllKeys)
-    freshVersion(Key, DefDesc{DefDesc::Kind::Entry, nullptr, nullptr, 0});
-
-  // Record def blocks.
-  const BasicBlock *Entry = F.getEntry();
-  for (VarKey Key : AllKeys)
-    DefBlocks[Key].push_back(Entry);
-  for (const auto &BB : F.blocks()) {
-    if (!S.CFG.isReachable(BB->getId()))
-      continue;
-    for (const auto &I : BB->instructions()) {
-      if (const Variable *Def = I->getDef())
-        DefBlocks[{Space::TopLevel, Def->getId()}].push_back(BB.get());
-      auto ChiIt = ChiLocs.find(I.get());
-      if (ChiIt != ChiLocs.end())
-        for (const auto &[Loc, Kind] : ChiIt->second)
-          DefBlocks[{Space::Memory, Loc}].push_back(BB.get());
-    }
-  }
-
-  // Iterated dominance frontier per key.
-  const size_t NumBlocks = F.blocks().size();
-  std::vector<uint8_t> HasPhi(NumBlocks), InWork(NumBlocks);
-  for (VarKey Key : AllKeys) {
-    std::fill(HasPhi.begin(), HasPhi.end(), 0);
-    std::fill(InWork.begin(), InWork.end(), 0);
-    std::vector<const BasicBlock *> Work;
-    for (const BasicBlock *BB : DefBlocks[Key]) {
-      if (!InWork[BB->getId()]) {
-        InWork[BB->getId()] = 1;
-        Work.push_back(BB);
-      }
-    }
-    while (!Work.empty()) {
-      const BasicBlock *BB = Work.back();
-      Work.pop_back();
-      for (const BasicBlock *Frontier : S.DF.frontier(BB)) {
-        if (HasPhi[Frontier->getId()])
-          continue;
-        HasPhi[Frontier->getId()] = 1;
-        PhiNode Phi;
-        Phi.Var = Key;
-        Phi.ResultVersion = 0; // Assigned during renaming.
-        S.Phis[Frontier].push_back(std::move(Phi));
-        if (!InWork[Frontier->getId()]) {
-          InWork[Frontier->getId()] = 1;
-          Work.push_back(Frontier);
-        }
-      }
-    }
-  }
-}
-
-void FunctionSSA::Builder::rename() {
-  std::unordered_map<VarKey, std::vector<uint32_t>, VarKeyHash> Stacks;
-  for (VarKey Key : AllKeys)
-    Stacks[Key] = {0};
-
-  auto Top = [&](VarKey Key) {
-    auto It = Stacks.find(Key);
-    assert(It != Stacks.end() && !It->second.empty() && "missing stack");
-    return It->second.back();
+  auto AddMu = [&](uint32_t Loc) {
+    assert(LocSlot[Loc] != ~0u && "mu on a location outside the formal-ins");
+    S.Mus.push_back({Loc, 0});
+  };
+  auto AddChi = [&](uint32_t Loc, ChiKind Kind, uint32_t Block) {
+    assert(LocSlot[Loc] != ~0u && "chi on a location outside the formal-ins");
+    S.Chis.push_back({Loc, 0, 0, Kind});
+    DefSites.push_back({LocSlot[Loc], Block});
+    ++NumDefs[LocSlot[Loc]];
   };
 
-  struct Frame {
-    const BasicBlock *BB;
-    size_t NextChild;
-    size_t TrailStart;
-  };
-  std::vector<VarKey> Trail; // Keys pushed, for undo on frame exit.
-
-  auto ProcessBlock = [&](const BasicBlock *BB) {
-    // Phis assign their results first.
-    auto PhiIt = S.Phis.find(BB);
-    if (PhiIt != S.Phis.end()) {
-      for (size_t Idx = 0; Idx != PhiIt->second.size(); ++Idx) {
-        PhiNode &Phi = PhiIt->second[Idx];
-        uint32_t V = freshVersion(
-            Phi.Var, DefDesc{DefDesc::Kind::Phi, nullptr, BB,
-                             static_cast<uint32_t>(Idx)});
-        Phi.ResultVersion = V;
-        Stacks[Phi.Var].push_back(V);
-        Trail.push_back(Phi.Var);
-      }
+  for (const auto &BB : F.blocks())
+    if (!BB->instructions().empty()) {
+      S.FirstInst = BB->instructions().front()->getId();
+      break;
     }
 
-    for (const auto &I : BB->instructions()) {
-      InstSSA &Info = S.Insts[I.get()];
+  std::vector<Variable *> Used;
+  std::vector<uint32_t> CloneLocs;
+  for (const auto &BB : F.blocks()) {
+    const uint32_t Block = BB->getId();
+    const bool Reachable = S.CFG.isReachable(Block);
+    for (const auto &IPtr : BB->instructions()) {
+      const Instruction *I = IPtr.get();
+      assert(I->getId() - S.FirstInst == UseBegin.size() &&
+             "instruction ids are not contiguous in layout order; the "
+             "module must be renumbered");
+      UseBegin.push_back(static_cast<uint32_t>(S.TLUses.size()));
+      MuBegin.push_back(static_cast<uint32_t>(S.Mus.size()));
+      ChiBegin.push_back(static_cast<uint32_t>(S.Chis.size()));
+      if (!Reachable)
+        continue;
 
-      // Uses (top-level, then mus) read the current versions.
-      std::vector<Variable *> Used;
+      // Top-level uses: each distinct variable once, by ascending id.
+      Used.clear();
       I->collectUsedVars(Used);
       std::sort(Used.begin(), Used.end(),
                 [](const Variable *A, const Variable *B) {
@@ -233,81 +165,259 @@ void FunctionSSA::Builder::rename() {
                 });
       Used.erase(std::unique(Used.begin(), Used.end()), Used.end());
       for (const Variable *V : Used)
-        Info.TLUses.push_back({V, Top({Space::TopLevel, V->getId()})});
-      auto MuIt = MuLocs.find(I.get());
-      if (MuIt != MuLocs.end())
-        for (uint32_t Loc : MuIt->second)
-          Info.Mus.push_back({Loc, Top({Space::Memory, Loc})});
-
-      // Defs create fresh versions.
+        S.TLUses.push_back({V, 0});
       if (const Variable *Def = I->getDef()) {
-        VarKey Key{Space::TopLevel, Def->getId()};
-        uint32_t V =
-            freshVersion(Key, DefDesc{DefDesc::Kind::Inst, I.get(), nullptr,
-                                      0});
-        Info.TLDefVersion = V;
-        Stacks[Key].push_back(V);
-        Trail.push_back(Key);
+        DefSites.push_back({Def->getId(), Block});
+        ++NumDefs[Def->getId()];
       }
-      auto ChiIt = ChiLocs.find(I.get());
-      if (ChiIt != ChiLocs.end()) {
-        for (const auto &[Loc, Kind] : ChiIt->second) {
-          VarKey Key{Space::Memory, Loc};
-          uint32_t Old = Top(Key);
-          uint32_t New =
-              freshVersion(Key, DefDesc{DefDesc::Kind::Inst, I.get(),
-                                        nullptr, 0});
-          Info.Chis.push_back({Loc, New, Old, Kind});
-          Stacks[Key].push_back(New);
-          Trail.push_back(Key);
-        }
-      }
-    }
 
-    // Feed phi operands of CFG successors.
-    std::vector<BasicBlock *> Succs;
-    BB->getSuccessors(Succs);
-    for (const BasicBlock *Succ : Succs) {
-      auto SuccPhiIt = S.Phis.find(Succ);
-      if (SuccPhiIt == S.Phis.end())
-        continue;
-      for (PhiNode &Phi : SuccPhiIt->second)
-        Phi.Incoming.push_back({BB, Top(Phi.Var)});
+      if (const auto *Ld = dyn_cast<LoadInst>(I)) {
+        for (uint32_t Loc : PA.pointsTo(Ld->getPtr()))
+          AddMu(Loc);
+      } else if (const auto *St = dyn_cast<StoreInst>(I)) {
+        for (uint32_t Loc : PA.pointsTo(St->getPtr()))
+          AddChi(Loc, ChiKind::Store, Block);
+      } else if (const auto *A = dyn_cast<AllocInst>(I)) {
+        for (unsigned Loc : PA.locsOfObject(A->getObject()))
+          AddChi(Loc, ChiKind::Alloc, Block);
+      } else if (const auto *Call = dyn_cast<CallInst>(I)) {
+        // Reads feed the callee's virtual input parameters; writes become
+        // chis whose old version doubles as the input for mod-only
+        // locations. Clone locations are "allocated" here and take no
+        // input at all.
+        CloneLocs.clear();
+        for (const MemObject *Clone : PA.clonesAt(Call))
+          for (unsigned Loc : PA.locsOfObject(Clone))
+            CloneLocs.push_back(Loc);
+        std::sort(CloneLocs.begin(), CloneLocs.end());
+        auto IsClone = [&](size_t Loc) {
+          return !CloneLocs.empty() &&
+                 std::binary_search(CloneLocs.begin(), CloneLocs.end(),
+                                    static_cast<uint32_t>(Loc));
+        };
+        MR.refAt(Call).forEach([&](size_t Loc) {
+          if (!IsClone(Loc))
+            AddMu(static_cast<uint32_t>(Loc));
+        });
+        MR.modAt(Call).forEach([&](size_t Loc) {
+          AddChi(static_cast<uint32_t>(Loc),
+                 IsClone(Loc) ? ChiKind::CloneAlloc : ChiKind::CallMod,
+                 Block);
+        });
+      } else if (isa<RetInst>(I)) {
+        // Virtual output parameters are read at every return.
+        for (uint32_t Loc : S.FormalOut)
+          AddMu(Loc);
+      }
     }
+  }
+  assert(UseBegin.size() == NumInsts && "instruction count mismatch");
+  UseBegin.push_back(static_cast<uint32_t>(S.TLUses.size()));
+  MuBegin.push_back(static_cast<uint32_t>(S.Mus.size()));
+  ChiBegin.push_back(static_cast<uint32_t>(S.Chis.size()));
+}
+
+void FunctionSSA::Builder::placePhis() {
+  const uint32_t NumBlocks = static_cast<uint32_t>(F.blocks().size());
+  analysis::DominanceFrontier DF(S.DT);
+
+  // Def blocks per slot, counting-sorted (layout order within a slot).
+  std::vector<uint32_t> SiteBegin(NumSlots + 1, 0);
+  for (uint32_t Slot = 0; Slot != NumSlots; ++Slot)
+    SiteBegin[Slot + 1] = SiteBegin[Slot] + NumDefs[Slot];
+  std::vector<uint32_t> SiteBlocks(DefSites.size());
+  {
+    std::vector<uint32_t> Cursor(SiteBegin.begin(), SiteBegin.end() - 1);
+    for (const auto &[Slot, Block] : DefSites)
+      SiteBlocks[Cursor[Slot]++] = Block;
+  }
+  std::vector<std::pair<uint32_t, uint32_t>>().swap(DefSites);
+
+  // Iterated dominance frontier of each slot's def blocks (the entry
+  // defines every slot's version 0). Epoch stamps stand in for clearing
+  // per-slot block sets. Phis are recorded slot-major as (block, slot).
+  std::vector<uint32_t> HasPhi(NumBlocks, ~0u), InWork(NumBlocks, ~0u);
+  std::vector<const BasicBlock *> Work;
+  std::vector<std::pair<uint32_t, uint32_t>> PhiSites;
+  NumPhis.assign(NumSlots, 0);
+  const BasicBlock *Entry = F.getEntry();
+  for (uint32_t Slot = 0; Slot != NumSlots; ++Slot) {
+    auto Push = [&](const BasicBlock *BB) {
+      if (InWork[BB->getId()] != Slot) {
+        InWork[BB->getId()] = Slot;
+        Work.push_back(BB);
+      }
+    };
+    Push(Entry);
+    for (uint32_t I = SiteBegin[Slot]; I != SiteBegin[Slot + 1]; ++I)
+      Push(F.blocks()[SiteBlocks[I]].get());
+    while (!Work.empty()) {
+      const BasicBlock *BB = Work.back();
+      Work.pop_back();
+      for (const BasicBlock *Frontier : DF.frontier(BB)) {
+        if (HasPhi[Frontier->getId()] == Slot)
+          continue;
+        HasPhi[Frontier->getId()] = Slot;
+        PhiSites.push_back({Frontier->getId(), Slot});
+        ++NumPhis[Slot];
+        Push(Frontier);
+      }
+    }
+  }
+
+  // Group the phis by block; a stable sort keeps ascending slot order
+  // within each block.
+  S.PhiBegin.assign(NumBlocks + 1, 0);
+  for (const auto &[Block, Slot] : PhiSites)
+    ++S.PhiBegin[Block + 1];
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    S.PhiBegin[B + 1] += S.PhiBegin[B];
+  S.Phis.resize(PhiSites.size());
+  PhiSlot.resize(PhiSites.size());
+  std::vector<uint32_t> Cursor(S.PhiBegin.begin(), S.PhiBegin.end() - 1);
+  for (const auto &[Block, Slot] : PhiSites) {
+    uint32_t P = Cursor[Block]++;
+    PhiSlot[P] = Slot;
+    S.Phis[P].Var = Slot < S.NumTopLevel
+                        ? VarKey{Space::TopLevel, Slot}
+                        : VarKey{Space::Memory,
+                                 S.FormalIn[Slot - S.NumTopLevel]};
+  }
+}
+
+void FunctionSSA::Builder::layout() {
+  // CSR version table: version 0 (live on entry) plus one per def and per
+  // phi of each slot. Defs are default-constructed as Entry.
+  S.VersionBegin.assign(NumSlots + 1, 0);
+  for (uint32_t Slot = 0; Slot != NumSlots; ++Slot)
+    S.VersionBegin[Slot + 1] =
+        S.VersionBegin[Slot] + 1 + NumDefs[Slot] + NumPhis[Slot];
+  S.Defs.resize(S.VersionBegin.back());
+  NextVersion.assign(NumSlots, 1);
+  Cur.assign(NumSlots, 0);
+
+  // Incoming slices: every phi of a block gets one arm per reachable
+  // predecessor edge.
+  const uint32_t NumBlocks = static_cast<uint32_t>(F.blocks().size());
+  InCount.assign(NumBlocks, 0);
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    if (S.CFG.isReachable(B))
+      for (const BasicBlock *Succ : S.CFG.successors(B))
+        ++InCount[Succ->getId()];
+  InBegin.assign(NumBlocks + 1, 0);
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    InBegin[B + 1] =
+        InBegin[B] + (S.PhiBegin[B + 1] - S.PhiBegin[B]) * InCount[B];
+  S.Incoming.resize(InBegin.back());
+  InFilled.assign(NumBlocks, 0);
+  for (uint32_t B = 0; B != NumBlocks; ++B)
+    for (uint32_t P = S.PhiBegin[B]; P != S.PhiBegin[B + 1]; ++P)
+      S.Phis[P].Incoming = {S.Incoming.data() + InBegin[B] +
+                                (P - S.PhiBegin[B]) * InCount[B],
+                            InCount[B]};
+}
+
+uint32_t FunctionSSA::Builder::define(uint32_t Slot, DefDesc Desc) {
+  uint32_t V = NextVersion[Slot]++;
+  S.Defs[S.VersionBegin[Slot] + V] = Desc;
+  Trail.push_back({Slot, Cur[Slot]});
+  Cur[Slot] = V;
+  return V;
+}
+
+void FunctionSSA::Builder::processBlock(const BasicBlock *BB) {
+  const uint32_t Block = BB->getId();
+  // Phis assign their results first.
+  for (uint32_t P = S.PhiBegin[Block]; P != S.PhiBegin[Block + 1]; ++P)
+    S.Phis[P].ResultVersion =
+        define(PhiSlot[P], DefDesc{nullptr, BB, P - S.PhiBegin[Block],
+                                   DefDesc::Kind::Phi});
+
+  for (const auto &IPtr : BB->instructions()) {
+    const Instruction *I = IPtr.get();
+    const uint32_t Idx = I->getId() - S.FirstInst;
+    // Uses (top-level, then mus) read the current versions.
+    for (uint32_t U = UseBegin[Idx]; U != UseBegin[Idx + 1]; ++U)
+      S.TLUses[U].Version = Cur[S.TLUses[U].Var->getId()];
+    for (uint32_t M = MuBegin[Idx]; M != MuBegin[Idx + 1]; ++M)
+      S.Mus[M].Version = Cur[LocSlot[S.Mus[M].Loc]];
+    // Defs create fresh versions.
+    const DefDesc AtI{I, nullptr, 0, DefDesc::Kind::Inst};
+    if (const Variable *Def = I->getDef())
+      S.Insts[Idx].TLDefVersion = define(Def->getId(), AtI);
+    for (uint32_t C = ChiBegin[Idx]; C != ChiBegin[Idx + 1]; ++C) {
+      MemDef &Chi = S.Chis[C];
+      const uint32_t Slot = LocSlot[Chi.Loc];
+      Chi.OldVersion = Cur[Slot];
+      Chi.NewVersion = define(Slot, AtI);
+    }
+  }
+
+  // Feed phi operands of CFG successors.
+  for (const BasicBlock *Succ : S.CFG.successors(Block)) {
+    const uint32_t SuccId = Succ->getId();
+    const uint32_t Arm = InFilled[SuccId]++;
+    for (uint32_t P = S.PhiBegin[SuccId]; P != S.PhiBegin[SuccId + 1]; ++P)
+      S.Incoming[InBegin[SuccId] + (P - S.PhiBegin[SuccId]) * InCount[SuccId] +
+                 Arm] = {BB, Cur[PhiSlot[P]]};
+  }
+}
+
+void FunctionSSA::Builder::rename() {
+  struct Frame {
+    const BasicBlock *BB;
+    size_t NextChild;
+    size_t TrailStart;
   };
-
   std::vector<Frame> DFS;
   const BasicBlock *Entry = F.getEntry();
   DFS.push_back({Entry, 0, Trail.size()});
-  ProcessBlock(Entry);
+  processBlock(Entry);
   while (!DFS.empty()) {
-    Frame &Cur = DFS.back();
-    const auto &Kids = S.DT.children(Cur.BB);
-    if (Cur.NextChild < Kids.size()) {
-      const BasicBlock *Child = Kids[Cur.NextChild++];
+    Frame &Top = DFS.back();
+    const auto &Kids = S.DT.children(Top.BB);
+    if (Top.NextChild < Kids.size()) {
+      const BasicBlock *Child = Kids[Top.NextChild++];
       DFS.push_back({Child, 0, Trail.size()});
-      ProcessBlock(Child);
+      processBlock(Child);
       continue;
     }
-    // Undo this frame's version pushes.
-    while (Trail.size() > Cur.TrailStart) {
-      Stacks[Trail.back()].pop_back();
+    // Undo this frame's definitions.
+    while (Trail.size() > Top.TrailStart) {
+      Cur[Trail.back().Slot] = Trail.back().Prev;
       Trail.pop_back();
     }
     DFS.pop_back();
   }
+
+#ifndef NDEBUG
+  for (uint32_t Slot = 0; Slot != NumSlots; ++Slot)
+    assert(NextVersion[Slot] == S.numVersionsAt(Slot) &&
+           "renaming did not define every counted version");
+  for (uint32_t B = 0; B != InFilled.size(); ++B)
+    assert(InFilled[B] == InCount[B] && "phi arm count mismatch");
+#endif
 }
 
 void FunctionSSA::Builder::run() {
   collectFormals();
   placeMuChi();
   placePhis();
+  layout();
   rename();
+  for (size_t Idx = 0; Idx != S.Insts.size(); ++Idx) {
+    InstSSA &Info = S.Insts[Idx];
+    Info.TLUses = {S.TLUses.data() + UseBegin[Idx],
+                   S.TLUses.data() + UseBegin[Idx + 1]};
+    Info.Mus = {S.Mus.data() + MuBegin[Idx], S.Mus.data() + MuBegin[Idx + 1]};
+    Info.Chis = {S.Chis.data() + ChiBegin[Idx],
+                 S.Chis.data() + ChiBegin[Idx + 1]};
+  }
 }
 
 FunctionSSA::FunctionSSA(const Function &F, const PointerAnalysis &PA,
                          const ModRefAnalysis &MR)
-    : F(F), CFG(F), DT(CFG), DF(DT) {
+    : F(F), CFG(F), DT(CFG) {
   Builder(*this, PA, MR).run();
 }
 
@@ -317,13 +427,9 @@ MemorySSA::MemorySSA(const Module &M, const PointerAnalysis &PA,
   // depends only on its own function plus the immutable PA/MR results, so
   // the builds are embarrassingly parallel; slots are merged in module
   // function order.
-  std::vector<const Function *> Order;
-  for (const auto &F : M.functions())
-    Order.push_back(F.get());
-  std::vector<std::unique_ptr<FunctionSSA>> Built =
-      parallelMapOrdered(Pool, Order.size(), [&](size_t I) {
-        return std::make_unique<FunctionSSA>(*Order[I], PA, MR);
-      });
-  for (size_t I = 0; I != Order.size(); ++I)
-    Funcs[Order[I]] = std::move(Built[I]);
+  const auto &Fns = M.functions();
+  Funcs = parallelMapOrdered(Pool, Fns.size(), [&](size_t I) {
+    assert(Fns[I]->getId() == I && "function ids are not dense");
+    return std::make_unique<FunctionSSA>(*Fns[I], PA, MR);
+  });
 }

@@ -33,21 +33,16 @@
 
 #include "analysis/CFG.h"
 #include "analysis/Dominators.h"
+#include "ir/IR.h"
 #include "support/ThreadPool.h"
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace usher {
-namespace ir {
-class Function;
-class Instruction;
-class Module;
-class Variable;
-} // namespace ir
-
 namespace analysis {
 class CallGraph;
 class ModRefAnalysis;
@@ -68,12 +63,6 @@ struct VarKey {
   uint32_t Id;
 
   bool operator==(const VarKey &O) const { return Sp == O.Sp && Id == O.Id; }
-};
-
-struct VarKeyHash {
-  size_t operator()(const VarKey &K) const {
-    return (static_cast<size_t>(K.Sp) << 31) ^ K.Id;
-  }
 };
 
 /// A mu: a potential indirect use of a memory location.
@@ -105,38 +94,59 @@ struct TLUse {
   uint32_t Version;
 };
 
-/// SSA annotations of one instruction.
+/// SSA annotations of one instruction. The spans point into flat arrays
+/// owned by the FunctionSSA.
 struct InstSSA {
   /// Version assigned to the instruction's top-level def (if any).
   uint32_t TLDefVersion = 0;
-  /// One entry per distinct top-level variable the instruction reads.
-  std::vector<TLUse> TLUses;
-  std::vector<MemUse> Mus;
-  std::vector<MemDef> Chis;
+  /// One entry per distinct top-level variable the instruction reads, in
+  /// ascending variable id.
+  std::span<const TLUse> TLUses;
+  /// Mus and chis, in ascending location order.
+  std::span<const MemUse> Mus;
+  std::span<const MemDef> Chis;
+};
+
+/// One incoming arm of a phi: the version live at the end of \p Pred.
+struct PhiIncoming {
+  const ir::BasicBlock *Pred;
+  uint32_t Version;
 };
 
 /// A phi at a block start, for either space.
 struct PhiNode {
   VarKey Var;
   uint32_t ResultVersion;
-  /// One (pred, version) pair per CFG predecessor.
-  std::vector<std::pair<const ir::BasicBlock *, uint32_t>> Incoming;
+  /// One arm per reachable CFG predecessor, in the order the renaming
+  /// walk (a DFS over the dominator tree) leaves the predecessors.
+  std::span<const PhiIncoming> Incoming;
 };
 
 /// Where a particular SSA version is defined.
 struct DefDesc {
   enum class Kind : uint8_t { Entry, Inst, Phi };
-  Kind K = Kind::Entry;
   const ir::Instruction *I = nullptr;      ///< For Kind::Inst.
   const ir::BasicBlock *PhiBlock = nullptr; ///< For Kind::Phi.
   uint32_t PhiIdx = 0;                      ///< Index into phisIn(PhiBlock).
+  Kind K = Kind::Entry;
 };
 
-/// SSA form of a single function.
+/// SSA form of a single function, stored flat.
+///
+/// Every variable key of the function owns a dense *slot*: top-level
+/// variable V has slot V->getId(); memory location formalIns()[I] has slot
+/// (number of top-level variables) + I. A slot's versions are the DefDesc entries
+/// [VersionBegin[Slot], VersionBegin[Slot + 1]). Instruction annotations
+/// are indexed by instruction id relative to the function's first
+/// instruction (ids are contiguous per function after Module::renumber()),
+/// phis are grouped by block id, and all mus, chis, top-level uses and
+/// incoming arms live in one array each.
 class FunctionSSA {
 public:
   FunctionSSA(const ir::Function &F, const analysis::PointerAnalysis &PA,
               const analysis::ModRefAnalysis &MR);
+  FunctionSSA(const FunctionSSA &) = delete;
+  FunctionSSA &operator=(const FunctionSSA &) = delete;
 
   const ir::Function &getFunction() const { return F; }
   const analysis::CFGInfo &getCFG() const { return CFG; }
@@ -144,24 +154,50 @@ public:
 
   /// SSA annotations of \p I; null for instructions in unreachable blocks.
   const InstSSA *instInfo(const ir::Instruction *I) const {
-    auto It = Insts.find(I);
-    return It == Insts.end() ? nullptr : &It->second;
+    const ir::BasicBlock *BB = I->getParent();
+    assert(BB->getParent() == &F && "instruction of another function");
+    if (!CFG.isReachable(BB->getId()))
+      return nullptr;
+    assert(I->getId() - FirstInst < Insts.size() && "stale instruction id");
+    return &Insts[I->getId() - FirstInst];
   }
 
-  /// Phis at the start of \p BB (possibly empty).
-  const std::vector<PhiNode> &phisIn(const ir::BasicBlock *BB) const;
+  /// Phis at the start of \p BB, in ascending slot order (possibly empty).
+  std::span<const PhiNode> phisIn(const ir::BasicBlock *BB) const {
+    const unsigned Id = BB->getId();
+    return {Phis.data() + PhiBegin[Id], Phis.data() + PhiBegin[Id + 1]};
+  }
+
+  /// Number of key slots (top-level variables plus formal-in locations).
+  uint32_t numSlots() const {
+    return static_cast<uint32_t>(VersionBegin.size() - 1);
+  }
+
+  /// Number of versions of the key in \p Slot.
+  uint32_t numVersionsAt(uint32_t Slot) const {
+    return VersionBegin[Slot + 1] - VersionBegin[Slot];
+  }
+  /// Definition site of version \p Version of the key in \p Slot.
+  const DefDesc &defAt(uint32_t Slot, uint32_t Version) const {
+    assert(Version < numVersionsAt(Slot) && "version out of range");
+    return Defs[VersionBegin[Slot] + Version];
+  }
 
   /// Definition site of version \p Version of \p Key.
-  const DefDesc &defOf(VarKey Key, uint32_t Version) const;
+  const DefDesc &defOf(VarKey Key, uint32_t Version) const {
+    uint32_t Slot = slotOf(Key);
+    assert(Slot != ~0u && "variable never materialized");
+    return defAt(Slot, Version);
+  }
 
   /// Number of versions of \p Key (0 if the variable never materialized).
   uint32_t numVersions(VarKey Key) const {
-    auto It = Defs.find(Key);
-    return It == Defs.end() ? 0 : static_cast<uint32_t>(It->second.size());
+    uint32_t Slot = slotOf(Key);
+    return Slot == ~0u ? 0 : numVersionsAt(Slot);
   }
 
   /// Memory locations live on entry (virtual input parameters): every
-  /// location the function may read or modify.
+  /// location the function may read or modify, sorted.
   const std::vector<uint32_t> &formalIns() const { return FormalIn; }
 
   /// Memory locations whose final versions are the virtual output
@@ -169,27 +205,34 @@ public:
   /// particular return are the Mus of that RetInst.
   const std::vector<uint32_t> &formalOuts() const { return FormalOut; }
 
-  /// Calls \p Fn(Key, NumVersions) for every variable key that
-  /// materialized in this function, in unspecified order.
-  template <typename FnT> void forEachKey(FnT Fn) const {
-    for (const auto &[Key, Descs] : Defs)
-      Fn(Key, static_cast<uint32_t>(Descs.size()));
-  }
-
 private:
   class Builder;
+
+  /// Slot of \p Key, or ~0u for a location outside formalIns().
+  uint32_t slotOf(VarKey Key) const;
 
   const ir::Function &F;
   analysis::CFGInfo CFG;
   analysis::DominatorTree DT;
-  analysis::DominanceFrontier DF;
 
-  std::unordered_map<const ir::Instruction *, InstSSA> Insts;
-  std::unordered_map<const ir::BasicBlock *, std::vector<PhiNode>> Phis;
-  std::unordered_map<VarKey, std::vector<DefDesc>, VarKeyHash> Defs;
+  uint32_t NumTopLevel = 0;
   std::vector<uint32_t> FormalIn, FormalOut;
 
-  static const std::vector<PhiNode> EmptyPhis;
+  /// Per instruction (id minus FirstInst).
+  uint32_t FirstInst = 0;
+  std::vector<InstSSA> Insts;
+  std::vector<TLUse> TLUses;
+  std::vector<MemUse> Mus;
+  std::vector<MemDef> Chis;
+
+  /// Per block: its phis are Phis[PhiBegin[Id] .. PhiBegin[Id + 1]).
+  std::vector<uint32_t> PhiBegin;
+  std::vector<PhiNode> Phis;
+  std::vector<PhiIncoming> Incoming;
+
+  /// Per slot: numSlots() + 1 offsets into Defs.
+  std::vector<uint32_t> VersionBegin;
+  std::vector<DefDesc> Defs;
 };
 
 /// Memory SSA for every function in a module.
@@ -204,12 +247,13 @@ public:
             const analysis::ModRefAnalysis &MR, ThreadPool *Pool = nullptr);
 
   const FunctionSSA &get(const ir::Function *F) const {
-    return *Funcs.at(F);
+    assert(F->getId() < Funcs.size() && "function outside the module");
+    return *Funcs[F->getId()];
   }
 
 private:
-  std::unordered_map<const ir::Function *, std::unique_ptr<FunctionSSA>>
-      Funcs;
+  /// Indexed by function id.
+  std::vector<std::unique_ptr<FunctionSSA>> Funcs;
 };
 
 } // namespace ssa

@@ -14,7 +14,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 using namespace usher;
 using namespace usher::vfg;
@@ -195,17 +194,15 @@ void VFGBuilder::buildVersionTables() {
   const auto &Fns = M.functions();
   G.FnSlotBegin.assign(Fns.size() + 1, 0);
   G.FnMemBegin.assign(Fns.size() + 1, 0);
-  // Key slots: every top-level variable, then every memory location live
-  // on entry (the only memory keys memory SSA versions).
+  // Key slots are memory SSA's own: every top-level variable, then every
+  // memory location live on entry (the only memory keys memory SSA
+  // versions).
   for (const auto &F : Fns) {
     uint32_t Id = F->getId();
     assert(Id < Fns.size() && "function ids are not dense");
-    const std::vector<uint32_t> &Locs = SSA.get(F.get()).formalIns();
-    assert(std::is_sorted(Locs.begin(), Locs.end()) &&
-           "formal-in locations are not sorted");
-    G.FnSlotBegin[Id + 1] =
-        static_cast<uint32_t>(F->variables().size() + Locs.size());
-    G.FnMemBegin[Id + 1] = static_cast<uint32_t>(Locs.size());
+    const FunctionSSA &FS = SSA.get(F.get());
+    G.FnSlotBegin[Id + 1] = FS.numSlots();
+    G.FnMemBegin[Id + 1] = static_cast<uint32_t>(FS.formalIns().size());
   }
   for (size_t I = 1; I <= Fns.size(); ++I) {
     G.FnSlotBegin[I] += G.FnSlotBegin[I - 1];
@@ -219,16 +216,9 @@ void VFGBuilder::buildVersionTables() {
     const std::vector<uint32_t> &Locs = FS.formalIns();
     std::copy(Locs.begin(), Locs.end(),
               G.MemLocs.begin() + G.FnMemBegin[F->getId()]);
-    enterFunction(F.get());
-    const uint32_t TLBase = G.FnSlotBegin[F->getId()];
-    FS.forEachKey([&](VarKey Key, uint32_t NumVersions) {
-      uint32_t Slot =
-          Key.Sp == Space::TopLevel ? TLBase + Key.Id : LocSlot[Key.Id];
-      assert(Slot != ~0u && Slot < G.FnSlotBegin[F->getId() + 1] &&
-             "SSA variable without a version-table slot");
-      G.SlotBegin[Slot + 1] = NumVersions;
-    });
-    leaveFunction();
+    uint32_t *Counts = G.SlotBegin.data() + G.FnSlotBegin[F->getId()] + 1;
+    for (uint32_t Slot = 0; Slot != FS.numSlots(); ++Slot)
+      Counts[Slot] = FS.numVersionsAt(Slot);
   }
   for (size_t I = 1; I != G.SlotBegin.size(); ++I)
     G.SlotBegin[I] += G.SlotBegin[I - 1];
@@ -285,7 +275,7 @@ uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, VarKey Key, uint32_t Slot,
   if (Id != ~0u)
     return Id;
   Id = static_cast<uint32_t>(G.Nodes.size());
-  G.Nodes.push_back({Fn, Key, Version});
+  G.Nodes.push_back({Fn, Key, Version, Slot - G.FnSlotBegin[Fn->getId()]});
   G.Origins.push_back(NodeOrigin::Unknown);
   return Id;
 }
@@ -412,7 +402,7 @@ static bool ptrDerivedFromAnchor(const FunctionSSA &FS, const Variable *Var,
                                  uint32_t Version,
                                  const Instruction *Anchor) {
   for (unsigned Steps = 0; Steps < 64; ++Steps) {
-    const DefDesc &Desc = FS.defOf({Space::TopLevel, Var->getId()}, Version);
+    const DefDesc &Desc = FS.defAt(Var->getId(), Version);
     if (Desc.K != DefDesc::Kind::Inst)
       return false;
     if (Desc.I == Anchor)
@@ -441,15 +431,20 @@ static bool ptrDerivedFromAnchor(const FunctionSSA &FS, const Variable *Var,
 bool VFGBuilder::safeBypass(const FunctionSSA &FS, uint32_t Loc,
                             uint32_t FromVersion, uint32_t AnchorNewVersion,
                             const Instruction *Anchor) {
-  VarKey Key{Space::Memory, Loc};
-  std::unordered_set<uint32_t> Visited;
-  std::vector<uint32_t> Work{FromVersion};
+  assert(CurFn == &FS.getFunction() && "bypass outside the current function");
+  const uint32_t Slot = LocSlot[Loc] - G.FnSlotBegin[CurFn->getId()];
+  if (BypassSeen.size() < FS.numVersionsAt(Slot))
+    BypassSeen.resize(FS.numVersionsAt(Slot), BypassEpoch);
+  ++BypassEpoch;
+  std::vector<uint32_t> &Work = BypassWork;
+  Work.assign(1, FromVersion);
   while (!Work.empty()) {
     uint32_t V = Work.back();
     Work.pop_back();
-    if (V == AnchorNewVersion || !Visited.insert(V).second)
+    if (V == AnchorNewVersion || BypassSeen[V] == BypassEpoch)
       continue;
-    const DefDesc &Desc = FS.defOf(Key, V);
+    BypassSeen[V] = BypassEpoch;
+    const DefDesc &Desc = FS.defAt(Slot, V);
     switch (Desc.K) {
     case DefDesc::Kind::Entry:
       return false; // Escaped above the anchor: should not happen when the
@@ -644,6 +639,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
   // at its returns (sorted by location, so each return keeps a cursor).
   std::vector<size_t> RetCursor(Rets.size(), 0);
   const Function *OwnFn = &F;
+  uint32_t InIdx = 0; // Cursor over the callee's formal-ins.
   for (const MemDef &Chi : Info.Chis) {
     uint32_t NewNode =
         getNode(OwnFn, {Space::Memory, Chi.Loc}, Chi.NewVersion);
@@ -659,15 +655,22 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     }
     assert(Chi.Kind == ChiKind::CallMod && "unexpected chi kind at call");
     setOrigin(NewNode, NodeOrigin::CallModChi);
+    while (InIdx != FormalIns.size() && FormalIns[InIdx] < Chi.Loc)
+      ++InIdx;
     for (size_t R = 0; R != Rets.size(); ++R) {
-      const std::vector<ssa::MemUse> &Mus = Rets[R].Info->Mus;
+      std::span<const ssa::MemUse> Mus = Rets[R].Info->Mus;
       size_t &Cur = RetCursor[R];
       while (Cur != Mus.size() && Mus[Cur].Loc < Chi.Loc)
         ++Cur;
-      if (Cur != Mus.size() && Mus[Cur].Loc == Chi.Loc)
+      if (Cur != Mus.size() && Mus[Cur].Loc == Chi.Loc) {
+        // Return mus read the callee's formal-outs, all of them formal-ins.
+        assert(InIdx != FormalIns.size() && FormalIns[InIdx] == Chi.Loc &&
+               "return mu on a location outside the callee's formal-ins");
         addDep(NewNode,
-               getNode(Callee, {Space::Memory, Chi.Loc}, Mus[Cur].Version),
+               nodeAtSlot(Callee, {Space::Memory, Chi.Loc},
+                          CalleeMemSlot0 + InIdx, Mus[Cur].Version),
                EdgeKind::Ret, CallSite);
+      }
     }
   }
 }

@@ -118,6 +118,8 @@ public:
     const ir::Function *Fn = nullptr;
     ssa::VarKey Key{ssa::Space::TopLevel, 0};
     uint32_t Version = 0;
+    /// Key's slot in Fn's memory SSA (FunctionSSA::defAt(Slot, Version)).
+    uint32_t Slot = 0;
   };
 
   /// A use of a top-level variable at a critical operation.
@@ -307,6 +309,10 @@ private:
   std::vector<uint32_t> LocSlot;
   /// Per function id: its reachable returns.
   std::vector<std::vector<ReturnSite>> Returns;
+  /// safeBypass's worklist and visited set: version V of the walked
+  /// location is visited iff BypassSeen[V] == BypassEpoch.
+  std::vector<uint32_t> BypassWork, BypassSeen;
+  uint32_t BypassEpoch = 0;
 };
 
 } // namespace vfg

@@ -188,6 +188,77 @@ TEST(MemorySSATest, TopLevelVersionsCountDefs) {
   EXPECT_EQ(FS.instInfo(Ret)->TLUses[0].Version, 3u);
 }
 
+TEST(MemorySSATest, UnreachableCodeAndUntouchedLocations) {
+  Pipeline P(R"(
+    global g[1] uninit;
+    global h[1] uninit;
+    func main() {
+      p = g;
+      c = 1;
+      if c goto wr;
+      goto join;
+    wr:
+      *p = 7;
+      goto join;
+    join:
+      x = *p;
+      ret x;
+    dead:
+      *p = 8;
+      goto join;
+    }
+    func other() {
+      q = h;
+      *q = 1;
+      ret;
+    }
+  )");
+  const ir::Function *Main = P.M->findFunction("main");
+  const FunctionSSA &FS = P.SSA->get(Main);
+  const ir::BasicBlock *Entry = nullptr, *Join = nullptr, *Dead = nullptr;
+  for (const auto &BB : Main->blocks()) {
+    if (BB->getName() == "join")
+      Join = BB.get();
+    else if (BB->getName() == "dead")
+      Dead = BB.get();
+  }
+  Entry = Main->getEntry();
+  ASSERT_NE(Join, nullptr);
+  ASSERT_NE(Dead, nullptr);
+
+  // Instructions of an unreachable block carry no SSA annotations, and the
+  // block holds no phis; reachable instructions all have annotations.
+  for (const auto &I : Dead->instructions())
+    EXPECT_EQ(FS.instInfo(I.get()), nullptr);
+  for (const auto &I : Join->instructions())
+    EXPECT_NE(FS.instInfo(I.get()), nullptr);
+  EXPECT_TRUE(FS.phisIn(Dead).empty());
+  // A reachable block without phis.
+  EXPECT_TRUE(FS.phisIn(Entry).empty());
+
+  // The join merges g's versions from its two reachable predecessors
+  // only; the unreachable one contributes no incoming arm.
+  uint32_t GLoc = P.PA->locId(P.M->findGlobal("g"), 0);
+  bool SawG = false;
+  for (const PhiNode &Phi : FS.phisIn(Join)) {
+    if (Phi.Var.Sp != Space::Memory || Phi.Var.Id != GLoc)
+      continue;
+    SawG = true;
+    ASSERT_EQ(Phi.Incoming.size(), 2u);
+    for (const auto &[Pred, Version] : Phi.Incoming)
+      EXPECT_NE(Pred, Dead);
+  }
+  EXPECT_TRUE(SawG);
+
+  // h is touched only by other(): main has no versions of it at all.
+  uint32_t HLoc = P.PA->locId(P.M->findGlobal("h"), 0);
+  EXPECT_EQ(std::count(FS.formalIns().begin(), FS.formalIns().end(), HLoc),
+            0);
+  EXPECT_EQ(FS.numVersions({Space::Memory, HLoc}), 0u);
+  EXPECT_EQ(FS.numVersions({Space::Memory, GLoc}), 3u)
+      << "entry, the store in wr, the phi in join";
+}
+
 //===----------------------------------------------------------------------===//
 // VFG construction
 //===----------------------------------------------------------------------===//
