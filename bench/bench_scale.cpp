@@ -21,8 +21,8 @@
 /// Per size and configuration the JSON (schema usher-bench-scale-v1,
 /// validated by tools/check_bench_json.py) records wall time for parse,
 /// the preset's transforms (mem2reg_ms), and each runUsher phase (pointer
-/// analysis, memory SSA, VFG, definedness, Opt II), plus peak RSS — the
-/// raw data behind the scaling-curve analysis in EXPERIMENTS.md.
+/// analysis, mod/ref, memory SSA, VFG, definedness, Opt II), plus peak
+/// RSS — the raw data behind the scaling-curve analysis in EXPERIMENTS.md.
 ///
 /// Configurations of one preset analyze the *same* program, so the
 /// harness cross-checks answers, not just times: the serial and --jobs=2
@@ -129,6 +129,7 @@ struct ConfigRow {
   double Mem2RegMs = 0;
   double AnalyzeMs = 0; ///< runUsher wall time (sum of the phases).
   double PtaMs = 0;
+  double ModRefMs = 0;
   double SsaMs = 0;
   double VfgMs = 0;
   double DefinednessMs = 0;
@@ -238,6 +239,7 @@ ConfigRow runConfig(const std::string &Source, const Config &C,
       Row.Mem2RegMs = Mem2RegMs;
       Row.AnalyzeMs = AnalyzeMs;
       Row.PtaMs = phaseMs(UR, "1.pointer-analysis");
+      Row.ModRefMs = phaseMs(UR, "1b.modref");
       Row.SsaMs = phaseMs(UR, "2.memory-ssa");
       Row.VfgMs = phaseMs(UR, "3.vfg");
       Row.DefinednessMs = phaseMs(UR, "4.definedness");
@@ -254,13 +256,13 @@ void printConfigJson(std::FILE *F, const ConfigRow &R, bool Last) {
       "        {\"name\": \"%s\", \"parse_ms\": %.4f, \"mem2reg_ms\": %.4f, "
       "\"analyze_ms\": %.4f, \"peak_rss_bytes\": %llu,\n"
       "         \"phases\": {\"pointer_analysis_ms\": %.4f, "
-      "\"memory_ssa_ms\": %.4f, \"vfg_ms\": %.4f, "
+      "\"modref_ms\": %.4f, \"memory_ssa_ms\": %.4f, \"vfg_ms\": %.4f, "
       "\"definedness_ms\": %.4f, \"opt2_ms\": %.4f},\n"
       "         \"vfg_nodes\": %llu, \"vfg_edges\": %llu, "
       "\"checks\": %llu, \"shadow_ops\": %llu, "
       "\"warning_sites\": %zu}%s\n",
       R.Name.c_str(), R.ParseMs, R.Mem2RegMs, R.AnalyzeMs,
-      static_cast<unsigned long long>(R.PeakRSSBytes), R.PtaMs, R.SsaMs,
+      static_cast<unsigned long long>(R.PeakRSSBytes), R.PtaMs, R.ModRefMs, R.SsaMs,
       R.VfgMs, R.DefinednessMs, R.Opt2Ms,
       static_cast<unsigned long long>(R.FP.VFGNodes),
       static_cast<unsigned long long>(R.FP.VFGEdges),

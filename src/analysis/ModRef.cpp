@@ -44,19 +44,32 @@ ModRefAnalysis::ModRefAnalysis(const Module &M, const CallGraph &CG,
     }
   }
 
-  // Transitive closure over the call graph. Call sites of allocation
-  // wrappers substitute clones for origins, so cloned objects propagate
-  // to callers while the unreachable origins stay confined to the wrapper.
-  bool Changed = true;
-  while (Changed) {
-    Changed = false;
-    for (const auto &F : M.functions()) {
-      Sets &S = Info[F.get()];
-      for (const CallInst *Call : CG.callSitesIn(F.get())) {
-        Changed |= S.Mod.unionWith(modAt(Call));
-        Changed |= S.Ref.unionWith(refAt(Call));
+  // Transitive closure over the call graph, bottom-up: SCC ids ascend
+  // from callees to callers, so every callee outside a function's own SCC
+  // is final when the SCC is visited, and one sweep settles an acyclic
+  // SCC. Only recursive SCCs iterate to a fixed point. Call sites of
+  // allocation wrappers substitute clones for origins, so cloned objects
+  // propagate to callers while the unreachable origins stay confined to
+  // the wrapper.
+  for (const std::vector<Function *> &SCC : CG.sccs()) {
+    const bool Cyclic = CG.isRecursive(SCC.front());
+    bool Changed;
+    do {
+      Changed = false;
+      for (const Function *F : SCC) {
+        Sets &S = Info[F];
+        for (const CallInst *Call : CG.callSitesIn(F)) {
+          const Sets &Callee = Info.at(Call->getCallee());
+          if (PA.clonesAt(Call).empty()) {
+            Changed |= S.Mod.unionWith(Callee.Mod);
+            Changed |= S.Ref.unionWith(Callee.Ref);
+          } else {
+            Changed |= S.Mod.unionWith(modAt(Call));
+            Changed |= S.Ref.unionWith(refAt(Call));
+          }
+        }
       }
-    }
+    } while (Cyclic && Changed);
   }
 }
 

@@ -188,6 +188,7 @@ UsherResult core::runUsher(Module &M, const UsherOptions &Opts) {
   Record("1.pointer-analysis");
 
   auto MR = std::make_unique<analysis::ModRefAnalysis>(M, *CG, *PA);
+  Record("1b.modref");
   auto SSA = std::make_unique<ssa::MemorySSA>(M, *PA, *MR, Pool.get());
   Record("2.memory-ssa");
   auto G = std::make_unique<vfg::VFG>(

@@ -7,62 +7,29 @@
 
 #include "parser/Lexer.h"
 
+#include "support/ParseNumber.h"
+
+#include <array>
 #include <cctype>
+#include <string>
 
 using namespace usher;
 using namespace usher::parser;
 
-namespace {
+/// "unexpected character 'C'" for every byte C, built once: Error tokens
+/// view these.
+static std::string_view unexpectedCharacter(char C) {
+  static const std::array<std::string, 256> Messages = [] {
+    std::array<std::string, 256> M;
+    for (unsigned I = 0; I != M.size(); ++I)
+      M[I] = std::string("unexpected character '") + static_cast<char>(I) +
+             "'";
+    return M;
+  }();
+  return Messages[static_cast<unsigned char>(C)];
+}
 
-class LexerImpl {
-public:
-  explicit LexerImpl(std::string_view Source) : Src(Source) {}
-
-  std::vector<Token> run();
-
-private:
-  char peek(size_t Ahead = 0) const {
-    return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
-  }
-  char advance() {
-    char C = Src[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    return C;
-  }
-  bool atEnd() const { return Pos >= Src.size(); }
-
-  void push(TokenKind K, std::string Text) {
-    Token T;
-    T.Kind = K;
-    T.Text = std::move(Text);
-    T.Line = TokLine;
-    T.Col = TokCol;
-    Tokens.push_back(std::move(T));
-  }
-
-  void pushInt(int64_t Value, std::string Text) {
-    push(TokenKind::Int, std::move(Text));
-    Tokens.back().IntValue = Value;
-  }
-
-  void skipTrivia();
-  bool lexOne();
-
-  std::string_view Src;
-  size_t Pos = 0;
-  unsigned Line = 1, Col = 1;
-  unsigned TokLine = 1, TokCol = 1;
-  std::vector<Token> Tokens;
-};
-
-} // namespace
-
-void LexerImpl::skipTrivia() {
+void Lexer::skipTrivia() {
   while (!atEnd()) {
     char C = peek();
     if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
@@ -78,143 +45,127 @@ void LexerImpl::skipTrivia() {
   }
 }
 
-bool LexerImpl::lexOne() {
+Token Lexer::next() {
   skipTrivia();
-  TokLine = Line;
-  TokCol = Col;
-  if (atEnd()) {
-    push(TokenKind::Eof, "");
-    return false;
-  }
+  Token T;
+  T.Line = Line;
+  T.Col = Col;
+  if (atEnd())
+    return T; // Eof.
+
+  const size_t Start = Pos;
+  auto Finish = [&](TokenKind K) {
+    T.Kind = K;
+    T.Text = Src.substr(Start, Pos - Start);
+    return T;
+  };
+  // An error leaves the cursor on the offending character, so the stream
+  // stays on its Error token.
+  auto Fail = [&](std::string_view Message) {
+    Pos = Start;
+    Line = T.Line;
+    Col = T.Col;
+    T.Kind = TokenKind::Error;
+    T.Text = Message;
+    return T;
+  };
 
   char C = advance();
   if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    std::string Text(1, C);
     while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_' ||
            peek() == '.')
-      Text.push_back(advance());
-    push(TokenKind::Ident, std::move(Text));
-    return true;
+      advance();
+    return Finish(TokenKind::Ident);
   }
   if (std::isdigit(static_cast<unsigned char>(C))) {
-    std::string Text(1, C);
     while (std::isdigit(static_cast<unsigned char>(peek())))
-      Text.push_back(advance());
-    int64_t Value = std::stoll(Text);
-    pushInt(Value, std::move(Text));
-    return true;
+      advance();
+    uint64_t Value;
+    if (!parseDecimal(Src.substr(Start, Pos - Start), Value) ||
+        Value > static_cast<uint64_t>(INT64_MAX))
+      return Fail("integer literal out of range");
+    T.IntValue = static_cast<int64_t>(Value);
+    return Finish(TokenKind::Int);
   }
 
   switch (C) {
   case ';':
-    push(TokenKind::Semi, ";");
-    return true;
+    return Finish(TokenKind::Semi);
   case ',':
-    push(TokenKind::Comma, ",");
-    return true;
+    return Finish(TokenKind::Comma);
   case '(':
-    push(TokenKind::LParen, "(");
-    return true;
+    return Finish(TokenKind::LParen);
   case ')':
-    push(TokenKind::RParen, ")");
-    return true;
+    return Finish(TokenKind::RParen);
   case '{':
-    push(TokenKind::LBrace, "{");
-    return true;
+    return Finish(TokenKind::LBrace);
   case '}':
-    push(TokenKind::RBrace, "}");
-    return true;
+    return Finish(TokenKind::RBrace);
   case '[':
-    push(TokenKind::LBracket, "[");
-    return true;
+    return Finish(TokenKind::LBracket);
   case ']':
-    push(TokenKind::RBracket, "]");
-    return true;
+    return Finish(TokenKind::RBracket);
   case ':':
-    push(TokenKind::Colon, ":");
-    return true;
+    return Finish(TokenKind::Colon);
   case '*':
-    push(TokenKind::Star, "*");
-    return true;
+    return Finish(TokenKind::Star);
   case '+':
-    push(TokenKind::Plus, "+");
-    return true;
+    return Finish(TokenKind::Plus);
   case '-':
-    push(TokenKind::Minus, "-");
-    return true;
+    return Finish(TokenKind::Minus);
   case '/':
-    push(TokenKind::Slash, "/");
-    return true;
+    return Finish(TokenKind::Slash);
   case '%':
-    push(TokenKind::Percent, "%");
-    return true;
+    return Finish(TokenKind::Percent);
   case '&':
-    push(TokenKind::Amp, "&");
-    return true;
+    return Finish(TokenKind::Amp);
   case '|':
-    push(TokenKind::Pipe, "|");
-    return true;
+    return Finish(TokenKind::Pipe);
   case '^':
-    push(TokenKind::Caret, "^");
-    return true;
+    return Finish(TokenKind::Caret);
   case '=':
     if (peek() == '=') {
       advance();
-      push(TokenKind::EqEq, "==");
-    } else {
-      push(TokenKind::Assign, "=");
+      return Finish(TokenKind::EqEq);
     }
-    return true;
+    return Finish(TokenKind::Assign);
   case '!':
     if (peek() == '=') {
       advance();
-      push(TokenKind::NotEq, "!=");
-      return true;
+      return Finish(TokenKind::NotEq);
     }
-    push(TokenKind::Error, "unexpected character '!'");
-    return false;
+    return Fail(unexpectedCharacter(C));
   case '<':
     if (peek() == '<') {
       advance();
-      push(TokenKind::Shl, "<<");
-    } else if (peek() == '=') {
-      advance();
-      push(TokenKind::LessEq, "<=");
-    } else {
-      push(TokenKind::Less, "<");
+      return Finish(TokenKind::Shl);
     }
-    return true;
+    if (peek() == '=') {
+      advance();
+      return Finish(TokenKind::LessEq);
+    }
+    return Finish(TokenKind::Less);
   case '>':
     if (peek() == '>') {
       advance();
-      push(TokenKind::Shr, ">>");
-    } else if (peek() == '=') {
-      advance();
-      push(TokenKind::GreaterEq, ">=");
-    } else {
-      push(TokenKind::Greater, ">");
+      return Finish(TokenKind::Shr);
     }
-    return true;
+    if (peek() == '=') {
+      advance();
+      return Finish(TokenKind::GreaterEq);
+    }
+    return Finish(TokenKind::Greater);
   default:
-    push(TokenKind::Error, std::string("unexpected character '") + C + "'");
-    return false;
+    return Fail(unexpectedCharacter(C));
   }
-}
-
-std::vector<Token> LexerImpl::run() {
-  while (lexOne()) {
-  }
-  if (Tokens.empty() || (!Tokens.back().is(TokenKind::Eof) &&
-                         !Tokens.back().is(TokenKind::Error))) {
-    Token T;
-    T.Kind = TokenKind::Eof;
-    T.Line = Line;
-    T.Col = Col;
-    Tokens.push_back(std::move(T));
-  }
-  return std::move(Tokens);
 }
 
 std::vector<Token> parser::tokenize(std::string_view Source) {
-  return LexerImpl(Source).run();
+  std::vector<Token> Tokens;
+  Lexer L(Source);
+  do
+    Tokens.push_back(L.next());
+  while (!Tokens.back().is(TokenKind::Eof) &&
+         !Tokens.back().is(TokenKind::Error));
+  return Tokens;
 }

@@ -7,6 +7,8 @@
 ///
 /// \file
 /// Tokenizer for the textual TinyC syntax. `//` starts a line comment.
+/// The parser pulls tokens from a Lexer cursor as it goes, so its memory
+/// does not grow with the length of the source.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -14,7 +16,6 @@
 #define USHER_PARSER_LEXER_H
 
 #include <cstdint>
-#include <string>
 #include <string_view>
 #include <vector>
 
@@ -57,10 +58,11 @@ enum class TokenKind {
   Error
 };
 
-/// A single token with source coordinates.
+/// A single token with source coordinates. Its text views the source
+/// (for an Error token, a static message), so a token owns nothing.
 struct Token {
   TokenKind Kind = TokenKind::Eof;
-  std::string Text;
+  std::string_view Text;
   int64_t IntValue = 0;
   unsigned Line = 0;
   unsigned Col = 0;
@@ -72,9 +74,40 @@ struct Token {
   }
 };
 
-/// Tokenizes \p Source. On a lexical error a single Error token carrying a
-/// message is emitted at the offending position and lexing stops. The token
-/// stream always ends with an Eof token.
+/// A cursor that lexes \p Source one token at a time; no token stream is
+/// ever stored. The stream ends with an Eof token or, on a lexical error,
+/// with an Error token carrying a message at the offending position;
+/// next() keeps returning that last token. A Lexer is a small value:
+/// copying it saves a cursor to re-lex from.
+class Lexer {
+public:
+  explicit Lexer(std::string_view Source) : Src(Source) {}
+
+  Token next();
+
+private:
+  char peek(size_t Ahead = 0) const {
+    return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
+  }
+  char advance() {
+    char C = Src[Pos++];
+    if (C == '\n') {
+      ++Line;
+      Col = 1;
+    } else {
+      ++Col;
+    }
+    return C;
+  }
+  bool atEnd() const { return Pos >= Src.size(); }
+  void skipTrivia();
+
+  std::string_view Src;
+  size_t Pos = 0;
+  unsigned Line = 1, Col = 1;
+};
+
+/// Every token of \p Source up to and including the Eof or Error token.
 std::vector<Token> tokenize(std::string_view Source);
 
 } // namespace parser

@@ -13,10 +13,12 @@
 #include "parser/Lexer.h"
 #include "support/RawStream.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <map>
-#include <set>
 #include <unordered_map>
+#include <utility>
 
 using namespace usher;
 using namespace usher::parser;
@@ -31,27 +33,57 @@ using ir::Variable;
 namespace {
 
 /// Names with fixed meaning that may not be used as variables or labels.
-bool isReservedWord(const std::string &Name) {
-  static const std::set<std::string> Reserved = {
+bool isReservedWord(std::string_view Name) {
+  static constexpr std::array<std::string_view, 13> Reserved = {
       "global", "func", "alloc", "gep",    "if",     "goto",
       "ret",    "stack", "heap",  "init",  "uninit", "array",
       "var"};
-  return Reserved.count(Name) != 0;
+  return std::find(Reserved.begin(), Reserved.end(), Name) != Reserved.end();
+}
+
+/// "'Name'" for diagnostics.
+std::string quoted(std::string_view Name) {
+  return "'" + std::string(Name) + "'";
 }
 
 class ParserImpl {
 public:
-  ParserImpl(std::string_view Source) : Tokens(tokenize(Source)) {}
+  ParserImpl(std::string_view Source) : C(Source) {}
 
   ParseResult run();
 
 private:
-  // Token cursor helpers.
-  const Token &peek(size_t Ahead = 0) const {
-    size_t Idx = Pos + Ahead;
-    return Idx < Tokens.size() ? Tokens[Idx] : Tokens.back();
+  /// Where parsing stands: the lexer, the current token and, once
+  /// peekNext() has looked, the one after it. Copying a Cursor saves the
+  /// position; nothing else of the token stream is kept.
+  struct Cursor {
+    explicit Cursor(std::string_view Source) : Lex(Source), Tok(Lex.next()) {}
+    Lexer Lex;
+    Token Tok, Ahead;
+    bool HasAhead = false;
+  };
+
+  // Token cursor helpers. The stream ends on an Eof or Error token, which
+  // advance() never moves past.
+  const Token &peek() const { return C.Tok; }
+  const Token &peekNext() {
+    if (!C.HasAhead) {
+      C.Ahead = C.Lex.next();
+      C.HasAhead = true;
+    }
+    return C.Ahead;
   }
-  const Token &advance() { return Tokens[Pos < Tokens.size() - 1 ? Pos++ : Pos]; }
+  bool atEnd() const {
+    return check(TokenKind::Eof) || check(TokenKind::Error);
+  }
+  Token advance() {
+    Token T = C.Tok;
+    if (!atEnd()) {
+      C.Tok = C.HasAhead ? C.Ahead : C.Lex.next();
+      C.HasAhead = false;
+    }
+    return T;
+  }
   bool check(TokenKind K) const { return peek().is(K); }
   bool match(TokenKind K) {
     if (!check(K))
@@ -72,7 +104,7 @@ private:
     const Token &T = peek();
     if (T.is(TokenKind::Eof))
       return "end of input";
-    return "'" + T.Text + "'";
+    return quoted(T.Text);
   }
 
   void error(const std::string &Msg) {
@@ -83,14 +115,15 @@ private:
 
   /// Skips tokens until just past the next ';' (or a brace boundary).
   void recover() {
-    while (!check(TokenKind::Eof) && !check(TokenKind::RBrace)) {
+    while (!atEnd() && !check(TokenKind::RBrace)) {
       if (advance().is(TokenKind::Semi))
         return;
     }
   }
 
-  // Pass 1: create functions (with params) and globals.
-  void scanTopLevel();
+  // Pass 1: create functions (with params) and globals. False on a
+  // lexical error, which then is the only diagnostic.
+  bool scanTopLevel();
   // Pass 2: parse bodies.
   void parseTopLevel();
   void parseGlobalDecl(bool Declare);
@@ -99,47 +132,64 @@ private:
   bool parseOperand(Operand &Out);
   bool parseBinOpcode(BinOpcode &Out);
 
-  Function *findFunction(const std::string &Name) const {
-    auto It = FunctionsByName.find(Name);
-    return It == FunctionsByName.end() ? nullptr : It->second;
+  template <class T>
+  static T *find(const std::unordered_map<std::string_view, T *> &Map,
+                 std::string_view Name) {
+    auto It = Map.find(Name);
+    return It == Map.end() ? nullptr : It->second;
   }
-  MemObject *findGlobal(const std::string &Name) const {
-    auto It = GlobalsByName.find(Name);
-    return It == GlobalsByName.end() ? nullptr : It->second;
+  Function *findFunction(std::string_view Name) const {
+    return find(FunctionsByName, Name);
+  }
+  MemObject *findGlobal(std::string_view Name) const {
+    return find(GlobalsByName, Name);
+  }
+  Variable *findVariable(std::string_view Name) const {
+    return find(VarsByName, Name);
+  }
+  Variable *createVariable(std::string_view Name) {
+    Variable *V = CurFn->createVariable(std::string(Name));
+    VarsByName.emplace(V->getName(), V);
+    return V;
   }
 
-  Variable *resolveOrCreateDef(const std::string &Name);
-  BasicBlock *lookupLabel(const std::string &Name);
+  Variable *resolveOrCreateDef(std::string_view Name);
+  BasicBlock *lookupLabel(std::string_view Name);
   void startBlock(BasicBlock *BB);
 
-  std::vector<Token> Tokens;
-  size_t Pos = 0;
+  Cursor C;
   std::vector<std::string> Errors;
 
   std::unique_ptr<ir::Module> M;
   std::unique_ptr<ir::IRBuilder> Builder;
-  // Name indices over M, filled where functions and globals are created.
-  // Module::findFunction/findGlobal are linear scans, and names resolve
-  // once per statement and operand. The index lives here rather than in
-  // Module because the program linker renames symbols after parsing.
-  std::unordered_map<std::string, Function *> FunctionsByName;
-  std::unordered_map<std::string, MemObject *> GlobalsByName;
+  // Name indices, filled where functions, globals and variables are
+  // created. Keys view the source or the IR's own names, so a lookup
+  // copies nothing. Module::findFunction/findGlobal and
+  // Function::findVariable are linear scans, and names resolve once per
+  // statement and operand. The index lives here rather than in Module
+  // because the program linker renames symbols after parsing.
+  std::unordered_map<std::string_view, Function *> FunctionsByName;
+  std::unordered_map<std::string_view, MemObject *> GlobalsByName;
 
   // Per-function parsing state.
+  struct Label {
+    BasicBlock *BB;
+    unsigned RefLine; ///< Line of the first reference.
+    bool Defined = false;
+  };
   Function *CurFn = nullptr;
   bool Terminated = false;
   unsigned ContCounter = 0;
   unsigned ObjCounter = 0;
-  std::map<std::string, BasicBlock *> Labels;
-  std::set<std::string> DefinedLabels;
-  std::map<std::string, unsigned> LabelRefLines;
+  std::unordered_map<std::string_view, Variable *> VarsByName;
+  std::map<std::string_view, Label> Labels; ///< By name, for diagnostics.
 };
 
 } // namespace
 
-void ParserImpl::scanTopLevel() {
-  size_t Saved = Pos;
-  while (!check(TokenKind::Eof) && !check(TokenKind::Error)) {
+bool ParserImpl::scanTopLevel() {
+  const Cursor Saved = C;
+  while (!atEnd()) {
     if (peek().isKeyword("global")) {
       parseGlobalDecl(/*Declare=*/true);
       continue;
@@ -150,12 +200,12 @@ void ParserImpl::scanTopLevel() {
         error("expected function name after 'func'");
         break;
       }
-      std::string Name = advance().Text;
+      std::string_view Name = advance().Text;
       if (findFunction(Name)) {
-        error("redefinition of function '" + Name + "'");
+        error("redefinition of function " + quoted(Name));
         break;
       }
-      Function *F = M->createFunction(Name);
+      Function *F = M->createFunction(std::string(Name));
       FunctionsByName.emplace(Name, F);
       if (!expect(TokenKind::LParen, "'('"))
         break;
@@ -165,10 +215,10 @@ void ParserImpl::scanTopLevel() {
             error("expected parameter name");
             break;
           }
-          std::string PName = advance().Text;
+          std::string_view PName = advance().Text;
           if (isReservedWord(PName))
-            error("'" + PName + "' is reserved and cannot be a parameter");
-          F->createVariable(PName, /*IsParam=*/true);
+            error(quoted(PName) + " is reserved and cannot be a parameter");
+          F->createVariable(std::string(PName), /*IsParam=*/true);
         } while (match(TokenKind::Comma));
       }
       if (!expect(TokenKind::RParen, "')'"))
@@ -177,7 +227,7 @@ void ParserImpl::scanTopLevel() {
         break;
       // Skip to the matching brace.
       unsigned Depth = 1;
-      while (Depth > 0 && !check(TokenKind::Eof)) {
+      while (Depth > 0 && !atEnd()) {
         if (check(TokenKind::LBrace))
           ++Depth;
         else if (check(TokenKind::RBrace))
@@ -189,7 +239,17 @@ void ParserImpl::scanTopLevel() {
     error("expected 'global' or 'func' at top level");
     break;
   }
-  Pos = Saved;
+  // A lexical error anywhere in the source is the only diagnostic, so
+  // lex on to the end of the source when a syntax error stopped the scan.
+  while (!atEnd())
+    advance();
+  const bool LexError = check(TokenKind::Error);
+  if (LexError)
+    Errors.assign(1, std::to_string(peek().Line) + ":" +
+                         std::to_string(peek().Col) + ": " +
+                         std::string(peek().Text));
+  C = Saved;
+  return !LexError;
 }
 
 void ParserImpl::parseGlobalDecl(bool Declare) {
@@ -199,7 +259,7 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
     recover();
     return;
   }
-  std::string Name = advance().Text;
+  std::string_view Name = advance().Text;
   int64_t Size = 1;
   if (match(TokenKind::LBracket)) {
     if (!check(TokenKind::Int)) {
@@ -237,26 +297,25 @@ void ParserImpl::parseGlobalDecl(bool Declare) {
   if (!Declare)
     return;
   if (Size <= 0 || Size > (1 << 20)) {
-    error("global '" + Name + "' has invalid size");
+    error("global " + quoted(Name) + " has invalid size");
     return;
   }
   if (findGlobal(Name)) {
-    error("redefinition of global '" + Name + "'");
+    error("redefinition of global " + quoted(Name));
     return;
   }
   GlobalsByName.emplace(Name,
-                        M->createObject(Name, Region::Global,
+                        M->createObject(std::string(Name), Region::Global,
                                         static_cast<unsigned>(Size),
                                         Initialized, IsArray));
 }
 
-ir::BasicBlock *ParserImpl::lookupLabel(const std::string &Name) {
+ir::BasicBlock *ParserImpl::lookupLabel(std::string_view Name) {
   auto It = Labels.find(Name);
   if (It != Labels.end())
-    return It->second;
-  BasicBlock *BB = CurFn->createBlock(Name);
-  Labels[Name] = BB;
-  LabelRefLines[Name] = peek().Line;
+    return It->second.BB;
+  BasicBlock *BB = CurFn->createBlock(std::string(Name));
+  Labels.emplace(Name, Label{BB, peek().Line});
   return BB;
 }
 
@@ -267,19 +326,19 @@ void ParserImpl::startBlock(BasicBlock *BB) {
   Terminated = false;
 }
 
-ir::Variable *ParserImpl::resolveOrCreateDef(const std::string &Name) {
+ir::Variable *ParserImpl::resolveOrCreateDef(std::string_view Name) {
   if (isReservedWord(Name)) {
-    error("'" + Name + "' is reserved and cannot be assigned");
+    error(quoted(Name) + " is reserved and cannot be assigned");
     return nullptr;
   }
-  if (Variable *V = CurFn->findVariable(Name))
+  if (Variable *V = findVariable(Name))
     return V;
   if (findGlobal(Name)) {
-    error("cannot assign to global '" + Name +
-          "' directly; store through a pointer instead");
+    error("cannot assign to global " + quoted(Name) +
+          " directly; store through a pointer instead");
     return nullptr;
   }
-  return CurFn->createVariable(Name);
+  return createVariable(Name);
 }
 
 bool ParserImpl::parseOperand(Operand &Out) {
@@ -287,14 +346,14 @@ bool ParserImpl::parseOperand(Operand &Out) {
     Out = Operand::constant(advance().IntValue);
     return true;
   }
-  if (check(TokenKind::Minus) && peek(1).is(TokenKind::Int)) {
+  if (check(TokenKind::Minus) && peekNext().is(TokenKind::Int)) {
     advance();
     Out = Operand::constant(-advance().IntValue);
     return true;
   }
   if (check(TokenKind::Ident)) {
-    std::string Name = peek().Text;
-    if (Variable *V = CurFn->findVariable(Name)) {
+    std::string_view Name = peek().Text;
+    if (Variable *V = findVariable(Name)) {
       advance();
       Out = Operand::var(V);
       return true;
@@ -304,7 +363,7 @@ bool ParserImpl::parseOperand(Operand &Out) {
       Out = Operand::global(G);
       return true;
     }
-    error("use of undefined name '" + Name + "'");
+    error("use of undefined name " + quoted(Name));
     return false;
   }
   error("expected an operand, found " + foundDesc());
@@ -373,10 +432,10 @@ void ParserImpl::parseStatement() {
   Builder->setCurrentLoc({peek().Line, peek().Col});
 
   // Label: IDENT ':'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::Colon)) {
-    std::string Name = peek().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::Colon)) {
+    std::string_view Name = peek().Text;
     if (isReservedWord(Name)) {
-      error("'" + Name + "' is reserved and cannot be a label");
+      error(quoted(Name) + " is reserved and cannot be a label");
       advance();
       advance();
       return;
@@ -384,12 +443,12 @@ void ParserImpl::parseStatement() {
     advance();
     advance();
     BasicBlock *BB = lookupLabel(Name);
-    if (!DefinedLabels.insert(Name).second) {
-      error("redefinition of label '" + Name + "'");
+    if (std::exchange(Labels.find(Name)->second.Defined, true)) {
+      error("redefinition of label " + quoted(Name));
       return;
     }
     if (!BB->empty()) {
-      error("label '" + Name + "' already has code");
+      error("label " + quoted(Name) + " already has code");
       return;
     }
     startBlock(BB);
@@ -416,16 +475,16 @@ void ParserImpl::parseStatement() {
         error("expected variable name in declaration");
         return recover();
       }
-      std::string Name = advance().Text;
+      std::string_view Name = advance().Text;
       if (isReservedWord(Name)) {
-        error("'" + Name + "' is reserved and cannot be declared");
+        error(quoted(Name) + " is reserved and cannot be declared");
         return recover();
       }
-      if (CurFn->findVariable(Name) || findGlobal(Name)) {
-        error("redeclaration of '" + Name + "'");
+      if (findVariable(Name) || findGlobal(Name)) {
+        error("redeclaration of " + quoted(Name));
         return recover();
       }
-      CurFn->createVariable(Name);
+      createVariable(Name);
     } while (match(TokenKind::Comma));
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
@@ -462,7 +521,7 @@ void ParserImpl::parseStatement() {
       error("expected label after 'goto'");
       return recover();
     }
-    std::string Target = advance().Text;
+    std::string_view Target = advance().Text;
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
     BasicBlock *TrueBB = lookupLabel(Target);
@@ -479,7 +538,7 @@ void ParserImpl::parseStatement() {
       error("expected label after 'goto'");
       return recover();
     }
-    std::string Target = advance().Text;
+    std::string_view Target = advance().Text;
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
     Builder->createGoto(lookupLabel(Target));
@@ -501,11 +560,11 @@ void ParserImpl::parseStatement() {
   }
 
   // Bare call: IDENT '(' args ')' ';'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::LParen)) {
-    std::string Callee = advance().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::LParen)) {
+    std::string_view Callee = advance().Text;
     Function *F = findFunction(Callee);
     if (!F) {
-      error("call to undefined function '" + Callee + "'");
+      error("call to undefined function " + quoted(Callee));
       return recover();
     }
     advance(); // '('
@@ -523,16 +582,17 @@ void ParserImpl::parseStatement() {
     if (!expect(TokenKind::Semi, "';'"))
       return recover();
     if (Args.size() != F->params().size())
-      error("call to '" + Callee + "' passes " + std::to_string(Args.size()) +
-            " args, expected " + std::to_string(F->params().size()));
+      error("call to " + quoted(Callee) + " passes " +
+            std::to_string(Args.size()) + " args, expected " +
+            std::to_string(F->params().size()));
     else
       Builder->createCall(nullptr, F, std::move(Args));
     return;
   }
 
   // Assignment: IDENT '=' rhs ';'.
-  if (check(TokenKind::Ident) && peek(1).is(TokenKind::Assign)) {
-    std::string DefName = advance().Text;
+  if (check(TokenKind::Ident) && peekNext().is(TokenKind::Assign)) {
+    std::string_view DefName = advance().Text;
     advance(); // '='
 
     // RHS: alloc.
@@ -577,8 +637,8 @@ void ParserImpl::parseStatement() {
       Variable *Def = resolveOrCreateDef(DefName);
       if (!Def)
         return;
-      std::string ObjName =
-          CurFn->getName() + "." + DefName + "." + std::to_string(ObjCounter++);
+      std::string ObjName = CurFn->getName() + "." + std::string(DefName) +
+                            "." + std::to_string(ObjCounter++);
       Builder->createAlloc(Def, R, static_cast<unsigned>(Fields), Initialized,
                            IsArray, ObjName);
       return;
@@ -627,9 +687,9 @@ void ParserImpl::parseStatement() {
     }
 
     // RHS: call.
-    if (check(TokenKind::Ident) && peek(1).is(TokenKind::LParen) &&
+    if (check(TokenKind::Ident) && peekNext().is(TokenKind::LParen) &&
         findFunction(peek().Text)) {
-      std::string Callee = advance().Text;
+      std::string_view Callee = advance().Text;
       Function *F = findFunction(Callee);
       advance(); // '('
       std::vector<Operand> Args;
@@ -646,7 +706,7 @@ void ParserImpl::parseStatement() {
       if (!expect(TokenKind::Semi, "';'"))
         return recover();
       if (Args.size() != F->params().size()) {
-        error("call to '" + Callee + "' passes " +
+        error("call to " + quoted(Callee) + " passes " +
               std::to_string(Args.size()) + " args, expected " +
               std::to_string(F->params().size()));
         return;
@@ -691,16 +751,16 @@ void ParserImpl::parseStatement() {
 void ParserImpl::parseFunctionBody(Function *F) {
   CurFn = F;
   Labels.clear();
-  DefinedLabels.clear();
-  LabelRefLines.clear();
+  VarsByName.clear();
+  for (const auto &V : F->variables())
+    VarsByName.emplace(V->getName(), V.get());
   ContCounter = 0;
 
   BasicBlock *Entry = F->createBlock("entry");
   Builder->setInsertPoint(Entry);
   Terminated = false;
 
-  while (!check(TokenKind::RBrace) && !check(TokenKind::Eof) &&
-         Errors.size() < 20)
+  while (!check(TokenKind::RBrace) && !atEnd() && Errors.size() < 20)
     parseStatement();
   // The implicit return cites the closing brace.
   Builder->setCurrentLoc({peek().Line, peek().Col});
@@ -711,31 +771,29 @@ void ParserImpl::parseFunctionBody(Function *F) {
 
   // Give every block created for an undefined forward label a body so the
   // verifier has a single failure mode: our diagnostic below.
-  for (const auto &[Name, BB] : Labels) {
-    if (DefinedLabels.count(Name))
+  for (const auto &[Name, L] : Labels) {
+    if (L.Defined)
       continue;
-    Errors.push_back(std::to_string(LabelRefLines[Name]) +
-                     ":1: undefined label '" + Name + "' in function '" +
-                     F->getName() + "'");
-    Builder->setInsertPoint(BB);
+    Errors.push_back(std::to_string(L.RefLine) + ":1: undefined label " +
+                     quoted(Name) + " in function " + quoted(F->getName()));
+    Builder->setInsertPoint(L.BB);
     Builder->createRet(Operand());
   }
   CurFn = nullptr;
 }
 
 void ParserImpl::parseTopLevel() {
-  while (!check(TokenKind::Eof) && !check(TokenKind::Error) &&
-         Errors.size() < 20) {
+  while (!atEnd() && Errors.size() < 20) {
     if (peek().isKeyword("global")) {
       parseGlobalDecl(/*Declare=*/false);
       continue;
     }
     if (peek().isKeyword("func")) {
       advance();
-      std::string Name = advance().Text; // validated in pass 1
+      std::string_view Name = advance().Text; // validated in pass 1
       Function *F = findFunction(Name);
       // Skip the parameter list (created in pass 1).
-      while (!check(TokenKind::LBrace) && !check(TokenKind::Eof))
+      while (!check(TokenKind::LBrace) && !atEnd())
         advance();
       if (!expect(TokenKind::LBrace, "'{'"))
         return;
@@ -750,18 +808,10 @@ void ParserImpl::parseTopLevel() {
 
 ParseResult ParserImpl::run() {
   ParseResult Result;
-  if (!Tokens.empty() && Tokens.back().is(TokenKind::Error)) {
-    const Token &T = Tokens.back();
-    Result.Errors.push_back(std::to_string(T.Line) + ":" +
-                            std::to_string(T.Col) + ": " + T.Text);
-    return Result;
-  }
-
   M = std::make_unique<ir::Module>();
   Builder = std::make_unique<ir::IRBuilder>(*M);
 
-  scanTopLevel();
-  if (Errors.empty())
+  if (scanTopLevel() && Errors.empty())
     parseTopLevel();
 
   Result.Errors = std::move(Errors);

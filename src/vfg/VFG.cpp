@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <tuple>
 
 using namespace usher;
 using namespace usher::vfg;
@@ -40,8 +41,7 @@ uint32_t VFG::keySlot(const Function *Fn, VarKey Key) const {
   uint32_t F = Fn->getId();
   if (F + 1 >= FnSlotBegin.size())
     return ~0u;
-  const uint32_t NumTL = FnSlotBegin[F + 1] - FnSlotBegin[F] -
-                         (FnMemBegin[F + 1] - FnMemBegin[F]);
+  const uint32_t NumTL = numTopLevel(F);
   if (Key.Sp == Space::TopLevel)
     return Key.Id < NumTL ? FnSlotBegin[F] + Key.Id : ~0u;
   auto Begin = MemLocs.begin() + FnMemBegin[F];
@@ -141,7 +141,7 @@ void VFG::dumpDot(raw_ostream &OS,
     } else if (Id == RootF) {
       OS << "F";
     } else {
-      const NodeData &N = Nodes[Id];
+      const NodeData N = node(Id);
       OS << N.Fn->getName() << ':';
       if (N.Key.Sp == Space::TopLevel)
         OS << "tl" << N.Key.Id;
@@ -154,7 +154,7 @@ void VFG::dumpDot(raw_ostream &OS,
     OS << '"';
     // Memory-space nodes render as boxes so the two SSA spaces are
     // visually distinct; verdicts color the node.
-    if (!isRoot(Id) && Nodes[Id].Key.Sp == Space::Memory)
+    if (!isRoot(Id) && node(Id).Key.Sp == Space::Memory)
       OS << ", shape=box";
     if (Verdicts) {
       switch ((*Verdicts)[Id]) {
@@ -223,6 +223,9 @@ void VFGBuilder::buildVersionTables() {
   for (size_t I = 1; I != G.SlotBegin.size(); ++I)
     G.SlotBegin[I] += G.SlotBegin[I - 1];
   G.VersionNode.assign(G.SlotBegin.back(), ~0u);
+  G.Fns.resize(Fns.size());
+  for (const auto &F : Fns)
+    G.Fns[F->getId()] = F.get();
 }
 
 void VFGBuilder::enterFunction(const Function *F) {
@@ -264,10 +267,10 @@ uint32_t VFGBuilder::getNode(const Function *Fn, VarKey Key,
                              uint32_t Version) {
   uint32_t Slot = Fn == CurFn && Key.Sp == Space::Memory ? LocSlot[Key.Id]
                                                          : G.keySlot(Fn, Key);
-  return nodeAtSlot(Fn, Key, Slot, Version);
+  return nodeAtSlot(Fn, Slot, Version);
 }
 
-uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, VarKey Key, uint32_t Slot,
+uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, uint32_t Slot,
                                 uint32_t Version) {
   assert(Slot != ~0u && Version < G.SlotBegin[Slot + 1] - G.SlotBegin[Slot] &&
          "VFG node for a version memory SSA never created");
@@ -275,7 +278,8 @@ uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, VarKey Key, uint32_t Slot,
   if (Id != ~0u)
     return Id;
   Id = static_cast<uint32_t>(G.Nodes.size());
-  G.Nodes.push_back({Fn, Key, Version, Slot - G.FnSlotBegin[Fn->getId()]});
+  const uint32_t FnId = Fn->getId();
+  G.Nodes.push_back({FnId, Slot - G.FnSlotBegin[FnId], Version});
   G.Origins.push_back(NodeOrigin::Unknown);
   return Id;
 }
@@ -284,93 +288,110 @@ void VFGBuilder::setOrigin(uint32_t Node, NodeOrigin O) {
   G.Origins[Node] = O;
 }
 
+bool VFGBuilder::inBurst(PackedEdge E) {
+  const uint32_t End = Pending.size();
+  auto Same = [&](uint32_t I) {
+    const PackedEdge &P = Pending[I].E;
+    return P.Node == E.Node && P.Label == E.Label;
+  };
+  auto Scan = [&] {
+    for (uint32_t I = BurstBegin; I != End; ++I)
+      if (Same(I))
+        return true;
+    return false;
+  };
+  if (End - BurstBegin < ShortBurst)
+    return Scan();
+  if (!LastEdge) {
+    LastEdge.reset(
+        static_cast<uint32_t *>(std::calloc(MaxNodes, sizeof(uint32_t))));
+    if (!LastEdge)
+      throw std::bad_alloc();
+  }
+  if (End - BurstBegin == ShortBurst) // Now long: index the burst so far.
+    for (uint32_t I = BurstBegin; I != End; ++I)
+      LastEdge[Pending[I].E.Node] = I + 1;
+  uint32_t &Last = LastEdge[E.Node];
+  // A burst's edges share one kind and label, so the newest edge to the
+  // same node settles it; the scan only keeps the check exact otherwise.
+  if (Last > BurstBegin && (Same(Last - 1) || Scan()))
+    return true;
+  Last = End + 1;
+  return false;
+}
+
+static PackedEdge packEdge(uint32_t To, EdgeKind Kind, uint32_t CallSite) {
+  assert((Kind == EdgeKind::Direct) == (CallSite == ~0u) &&
+         (CallSite == ~0u || CallSite <= PackedEdge::SiteMask) &&
+         "only call and return edges carry a call site");
+  return {To, PackedEdge::label(Kind, CallSite)};
+}
+
 void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
                         uint32_t CallSite) {
-  Pending.push_back({From, {To, Kind, CallSite}});
+  const PackedEdge E = packEdge(To, Kind, CallSite);
+  if (From != BurstFrom) {
+    BurstFrom = From;
+    BurstBegin = Pending.size();
+  } else if (inBurst(E)) {
+    return;
+  }
+  Pending.push({From, E});
+}
+
+void VFGBuilder::addEntryDep(uint32_t From, uint32_t To, EdgeKind Kind,
+                             uint32_t CallSite) {
+  BurstFrom = ~0u;
+  Pending.push({From, packEdge(To, Kind, CallSite)});
+}
+
+/// True if some node lists one dependency twice.
+[[maybe_unused]] static bool hasDuplicateDeps(const VFG &G) {
+  std::vector<Edge> Deps;
+  auto Less = [](const Edge &A, const Edge &B) {
+    return std::tie(A.Node, A.Kind, A.CallSite) <
+           std::tie(B.Node, B.Kind, B.CallSite);
+  };
+  for (uint32_t Id = 0; Id != G.numNodes(); ++Id) {
+    Deps.clear();
+    for (const Edge &E : G.deps(Id))
+      Deps.push_back(E);
+    std::sort(Deps.begin(), Deps.end(), Less);
+    if (std::adjacent_find(Deps.begin(), Deps.end()) != Deps.end())
+      return true;
+  }
+  return false;
 }
 
 void VFGBuilder::freeze() {
   const uint32_t N = G.numNodes();
-  const uint32_t P = static_cast<uint32_t>(Pending.size());
+  const uint32_t P = Pending.size();
 
-  // Stable counting sort of the pending edges by source node: Order lists
-  // pending indices grouped by node, each group in insertion order.
-  std::vector<uint32_t> Begin(N + 1, 0);
-  for (const PendingEdge &PE : Pending)
-    ++Begin[PE.From + 1];
-  for (uint32_t I = 0; I != N; ++I)
-    Begin[I + 1] += Begin[I];
-  std::vector<uint32_t> Order(P);
-  {
-    std::vector<uint32_t> Cursor(Begin.begin(), Begin.end() - 1);
-    for (uint32_t I = 0; I != P; ++I)
-      Order[Cursor[Pending[I].From]++] = I;
+  // Two-pass counting sort of the pending edges, by source into the
+  // dependency CSR and by target into the user CSR; both keep insertion
+  // order within a node. Offsets are counted one slot to the right, so
+  // that filling advances Begin[Id + 1] from Id's first slot to its end,
+  // which is where Id + 1 begins: no cursor array is needed.
+  G.DepBegin.assign(N + 2, 0);
+  G.UserBegin.assign(N + 2, 0);
+  Pending.forEach([&](const PendingEdge &P) {
+    ++G.DepBegin[P.From + 2];
+    ++G.UserBegin[P.E.Node + 2];
+  });
+  for (uint32_t I = 2; I != N + 2; ++I) {
+    G.DepBegin[I] += G.DepBegin[I - 1];
+    G.UserBegin[I] += G.UserBegin[I - 1];
   }
-
-  // Within each group only the first copy of an edge survives, exactly
-  // like adding edges one by one with a duplicate check. Long groups (a
-  // formal parameter of a much-called function) dedup by sorting.
-  std::vector<uint8_t> Keep(P, 1);
-  std::vector<uint32_t> Scratch;
-  auto Less = [&](uint32_t A, uint32_t B) {
-    const Edge &EA = Pending[A].E, &EB = Pending[B].E;
-    if (EA.Node != EB.Node)
-      return EA.Node < EB.Node;
-    if (EA.Kind != EB.Kind)
-      return EA.Kind < EB.Kind;
-    if (EA.CallSite != EB.CallSite)
-      return EA.CallSite < EB.CallSite;
-    return A < B;
-  };
-  for (uint32_t Node = 0; Node != N; ++Node) {
-    const uint32_t *First = Order.data() + Begin[Node];
-    const uint32_t *Last = Order.data() + Begin[Node + 1];
-    if (Last - First < 2)
-      continue;
-    if (Last - First <= 16) {
-      for (const uint32_t *I = First + 1; I != Last; ++I)
-        for (const uint32_t *J = First; J != I; ++J)
-          if (Keep[*J] && Pending[*J].E == Pending[*I].E) {
-            Keep[*I] = 0;
-            break;
-          }
-      continue;
-    }
-    Scratch.assign(First, Last);
-    std::sort(Scratch.begin(), Scratch.end(), Less);
-    for (size_t I = 1; I != Scratch.size(); ++I)
-      if (Pending[Scratch[I]].E == Pending[Scratch[I - 1]].E)
-        Keep[Scratch[I]] = 0;
-  }
-
-  // Dependency CSR: the surviving edges of each group, in group order.
-  G.DepBegin.assign(N + 1, 0);
-  G.DepEdges.clear();
-  for (uint32_t Node = 0; Node != N; ++Node) {
-    for (uint32_t I = Begin[Node]; I != Begin[Node + 1]; ++I)
-      if (Keep[Order[I]])
-        G.DepEdges.push_back(Pending[Order[I]].E);
-    G.DepBegin[Node + 1] = static_cast<uint32_t>(G.DepEdges.size());
-  }
-  std::vector<uint32_t>().swap(Order);
-
-  // User CSR: the surviving edges counting-sorted by target, in global
-  // insertion order within each target.
-  G.UserBegin.assign(N + 1, 0);
-  for (uint32_t I = 0; I != P; ++I)
-    if (Keep[I])
-      ++G.UserBegin[Pending[I].E.Node + 1];
-  for (uint32_t I = 0; I != N; ++I)
-    G.UserBegin[I + 1] += G.UserBegin[I];
-  G.UserEdges.resize(G.DepEdges.size());
-  std::copy(G.UserBegin.begin(), G.UserBegin.end() - 1, Begin.begin());
-  for (uint32_t I = 0; I != P; ++I) {
-    if (!Keep[I])
-      continue;
-    const PendingEdge &PE = Pending[I];
-    G.UserEdges[Begin[PE.E.Node]++] = {PE.From, PE.E.Kind, PE.E.CallSite};
-  }
-  std::vector<PendingEdge>().swap(Pending);
+  G.DepEdges.resize(P);
+  G.UserEdges.resize(P);
+  Pending.drain([&](const PendingEdge &P) {
+    G.DepEdges[G.DepBegin[P.From + 1]++] = P.E;
+    G.UserEdges[G.UserBegin[P.E.Node + 1]++] = {P.From, P.E.Label};
+  });
+  G.DepBegin.pop_back();
+  G.UserBegin.pop_back();
+  LastEdge.reset();
+  assert(!hasDuplicateDeps(G) && "a duplicate edge crossed a burst");
 
   std::sort(CutObjects.begin(), CutObjects.end());
   for (uint32_t Obj : CutObjects) {
@@ -574,7 +595,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
         getNode(Callee, {Space::TopLevel, Params[Idx]->getId()}, 0);
     setOrigin(Formal, NodeOrigin::FormalParam);
     uint32_t Actual = operandNode(&F, Info, Call.getArgs()[Idx]);
-    addDep(Formal, Actual, EdgeKind::Call, CallSite);
+    addEntryDep(Formal, Actual, EdgeKind::Call, CallSite);
   }
 
   const std::vector<ReturnSite> &Rets = Returns[Callee->getId()];
@@ -628,10 +649,10 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     else
       continue;
     uint32_t FormalIn =
-        nodeAtSlot(Callee, {Space::Memory, Loc}, CalleeMemSlot0 + I, 0);
+        nodeAtSlot(Callee, CalleeMemSlot0 + I, 0);
     setOrigin(FormalIn, NodeOrigin::FormalIn);
-    addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
-           EdgeKind::Call, CallSite);
+    addEntryDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
+                EdgeKind::Call, CallSite);
   }
 
   // Chis at the call: clone allocations behave like allocation sites; mod
@@ -667,8 +688,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
         assert(InIdx != FormalIns.size() && FormalIns[InIdx] == Chi.Loc &&
                "return mu on a location outside the callee's formal-ins");
         addDep(NewNode,
-               nodeAtSlot(Callee, {Space::Memory, Chi.Loc},
-                          CalleeMemSlot0 + InIdx, Mus[Cur].Version),
+               nodeAtSlot(Callee, CalleeMemSlot0 + InIdx, Mus[Cur].Version),
                EdgeKind::Ret, CallSite);
       }
     }
@@ -791,10 +811,16 @@ void VFGBuilder::buildFunction(const Function &F) {
 }
 
 VFG VFGBuilder::build() {
-  // Nodes 0 and 1 are the T and F roots.
+  buildVersionTables();
+  // Nodes 0 and 1 are the T and F roots; every other node is one SSA
+  // version, so the node arrays are sized once.
+  MaxNodes = static_cast<uint32_t>(G.VersionNode.size()) + 2;
+  G.Nodes.reserve(MaxNodes);
+  G.Origins.reserve(MaxNodes);
+  // Reserved pages that stay unused are never touched.
+  G.CriticalUses.reserve(M.instructionCount());
   G.Nodes.resize(2);
   G.Origins.resize(2, NodeOrigin::Root);
-  buildVersionTables();
   collectReturns();
 
   for (const auto &F : M.functions())
@@ -805,15 +831,14 @@ VFG VFGBuilder::build() {
   // edges above; everything else is rooted here.
   const Function *Main = M.findFunction("main");
   for (uint32_t Id = 2; Id != G.numNodes(); ++Id) {
-    const VFG::NodeData &N = G.Nodes[Id];
-    if (N.Version != 0)
+    if (G.Nodes[Id].Version != 0)
       continue;
+    const VFG::NodeData N = G.node(Id);
     if (N.Key.Sp == Space::TopLevel) {
-      const Variable *V =
-          N.Fn->variables()[N.Key.Id].get();
+      const Variable *V = N.Fn->variables()[N.Key.Id].get();
       if (!V->isParam()) {
         setOrigin(Id, NodeOrigin::EntryDef);
-        addDep(Id, VFG::RootF, EdgeKind::Direct);
+        addEntryDep(Id, VFG::RootF, EdgeKind::Direct);
       }
       // Parameters: call edges only; a never-called function stays T.
     } else if (N.Fn == Main) {
@@ -823,10 +848,10 @@ VFG VFGBuilder::build() {
       const MemObject *Obj = PA.location(N.Key.Id).Obj;
       setOrigin(Id, NodeOrigin::EntryDef);
       if (Obj->isGlobal())
-        addDep(Id, Obj->isInitialized() ? VFG::RootT : VFG::RootF,
-               EdgeKind::Direct);
+        addEntryDep(Id, Obj->isInitialized() ? VFG::RootT : VFG::RootF,
+                    EdgeKind::Direct);
       else
-        addDep(Id, VFG::RootT, EdgeKind::Direct);
+        addEntryDep(Id, VFG::RootT, EdgeKind::Direct);
     }
   }
   freeze();

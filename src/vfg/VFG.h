@@ -30,8 +30,13 @@
 
 #include "ssa/MemorySSA.h"
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
-#include <span>
+#include <cstdlib>
+#include <iterator>
+#include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
@@ -67,6 +72,59 @@ struct Edge {
   EdgeKind Kind;
   uint32_t CallSite = ~0u;   ///< Instruction id of the CallInst, if labeled.
   bool operator==(const Edge &O) const = default;
+};
+
+/// An edge as the graph stores it: 8 bytes, the kind packed above a
+/// 30-bit call site (Direct edges carry none).
+struct PackedEdge {
+  uint32_t Node, Label;
+
+  static constexpr uint32_t SiteMask = (1u << 30) - 1;
+  static uint32_t label(EdgeKind Kind, uint32_t CallSite) {
+    return static_cast<uint32_t>(Kind) << 30 | (CallSite & SiteMask);
+  }
+  EdgeKind kind() const { return static_cast<EdgeKind>(Label >> 30); }
+  uint32_t callSite() const {
+    return kind() == EdgeKind::Direct ? ~0u : Label & SiteMask;
+  }
+  Edge unpack() const { return {Node, kind(), callSite()}; }
+};
+
+/// A node's dependency or user edges, unpacked as they are read.
+class EdgeRange {
+public:
+  class iterator {
+  public:
+    using value_type = Edge;
+    using difference_type = std::ptrdiff_t;
+    using reference = Edge;
+    using pointer = void;
+    using iterator_category = std::input_iterator_tag;
+
+    iterator() = default;
+    explicit iterator(const PackedEdge *P) : P(P) {}
+    Edge operator*() const { return P->unpack(); }
+    iterator &operator++() {
+      ++P;
+      return *this;
+    }
+    iterator operator++(int) { return iterator(P++); }
+    bool operator==(const iterator &O) const = default;
+
+  private:
+    const PackedEdge *P = nullptr;
+  };
+
+  EdgeRange(const PackedEdge *First, const PackedEdge *Last)
+      : First(First), Last(Last) {}
+  size_t size() const { return static_cast<size_t>(Last - First); }
+  bool empty() const { return First == Last; }
+  Edge operator[](size_t I) const { return First[I].unpack(); }
+  iterator begin() const { return iterator(First); }
+  iterator end() const { return iterator(Last); }
+
+private:
+  const PackedEdge *First, *Last;
 };
 
 /// How a particular store's chi was translated.
@@ -114,6 +172,7 @@ public:
   static constexpr uint32_t RootF = 1;
 
   /// Payload of a non-root node: a versioned SSA variable of one function.
+  /// node() unpacks it from the 12-byte stored record.
   struct NodeData {
     const ir::Function *Fn = nullptr;
     ssa::VarKey Key{ssa::Space::TopLevel, 0};
@@ -131,15 +190,25 @@ public:
 
   uint32_t numNodes() const { return static_cast<uint32_t>(Nodes.size()); }
   bool isRoot(uint32_t Id) const { return Id == RootT || Id == RootF; }
-  const NodeData &node(uint32_t Id) const { return Nodes[Id]; }
+  NodeData node(uint32_t Id) const {
+    const NodeRecord &R = Nodes[Id];
+    const uint32_t NumTL = numTopLevel(R.Fn);
+    if (R.Slot < NumTL)
+      return {Fns[R.Fn], {ssa::Space::TopLevel, R.Slot}, R.Version, R.Slot};
+    return {Fns[R.Fn],
+            {ssa::Space::Memory, MemLocs[FnMemBegin[R.Fn] + R.Slot - NumTL]},
+            R.Version,
+            R.Slot};
+  }
 
   /// Dependency edges of \p Id (what its value is computed from).
-  std::span<const Edge> deps(uint32_t Id) const {
-    return {DepEdges.data() + DepBegin[Id], DepEdges.data() + DepBegin[Id + 1]};
+  EdgeRange deps(uint32_t Id) const {
+    return {DepEdges.data() + DepBegin[Id],
+            DepEdges.data() + DepBegin[Id + 1]};
   }
 
   /// Reverse edges of \p Id (who consumes its value).
-  std::span<const Edge> users(uint32_t Id) const {
+  EdgeRange users(uint32_t Id) const {
     return {UserEdges.data() + UserBegin[Id],
             UserEdges.data() + UserBegin[Id + 1]};
   }
@@ -148,13 +217,13 @@ public:
   /// flat array: the I-th dependency of \p Id sits in slot
   /// depSlot(Id) + I. Opt II's redirect overlay is a bitset over slots.
   uint32_t depSlot(uint32_t Id) const { return DepBegin[Id]; }
-  const Edge &depAt(uint32_t Slot) const { return DepEdges[Slot]; }
+  Edge depAt(uint32_t Slot) const { return DepEdges[Slot].unpack(); }
   /// The node whose dependency list holds \p Slot.
   uint32_t depOwner(uint32_t Slot) const;
 
   /// User edges are numbered the same way (slot userSlot(Id) + I).
   uint32_t userSlot(uint32_t Id) const { return UserBegin[Id]; }
-  const Edge &userAt(uint32_t Slot) const { return UserEdges[Slot]; }
+  Edge userAt(uint32_t Slot) const { return UserEdges[Slot].unpack(); }
 
   /// Provenance of \p Id (see NodeOrigin).
   NodeOrigin origin(uint32_t Id) const { return Origins[Id]; }
@@ -210,10 +279,37 @@ private:
   /// Slot of (Fn, Key) in the version tables, or ~0u.
   uint32_t keySlot(const ir::Function *Fn, ssa::VarKey Key) const;
 
-  std::vector<NodeData> Nodes;
+  /// A node as stored: function id, key slot within the function (which
+  /// determines the key, see the version tables below) and version.
+  struct NodeRecord {
+    uint32_t Fn, Slot, Version;
+  };
+  static_assert(sizeof(NodeRecord) == 12, "node records are 12 bytes");
+
+  /// Number of top-level variables (the first key slots) of function \p F.
+  uint32_t numTopLevel(uint32_t F) const {
+    return FnSlotBegin[F + 1] - FnSlotBegin[F] -
+           (FnMemBegin[F + 1] - FnMemBegin[F]);
+  }
+
+  /// Allocator whose value-initialization is a no-op: resize() leaves the
+  /// edge arrays untouched, so freeze() writes every element exactly once.
+  template <class T> struct UninitAllocator : std::allocator<T> {
+    template <class U> struct rebind {
+      using other = UninitAllocator<U>;
+    };
+    template <class U> void construct(U *) noexcept {}
+    template <class U, class... Args> void construct(U *P, Args &&...A) {
+      ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
+    }
+  };
+  using EdgeArray = std::vector<PackedEdge, UninitAllocator<PackedEdge>>;
+
+  std::vector<const ir::Function *> Fns; ///< By function id.
+  std::vector<NodeRecord> Nodes;
   std::vector<NodeOrigin> Origins;
   std::vector<uint32_t> DepBegin, UserBegin; ///< numNodes() + 1 offsets.
-  std::vector<Edge> DepEdges, UserEdges;
+  EdgeArray DepEdges, UserEdges;
 
   /// Version tables. Function F (by id) owns the key slots starting at
   /// FnSlotBegin[F]: first its top-level variables by id, then its memory
@@ -248,10 +344,54 @@ public:
   VFG build();
 
 private:
-  /// One edge as the builder adds it, before freezing.
+  /// One edge as the builder adds it, before freezing. No member
+  /// initializers, so a fresh chunk is not written before it is filled.
   struct PendingEdge {
     uint32_t From;
-    Edge E;
+    PackedEdge E;
+  };
+
+  /// Edges in insertion order, in fixed-size chunks: appending never
+  /// copies, and freeze() releases each chunk once it has been read.
+  class EdgeBuffer {
+  public:
+    static constexpr uint32_t ChunkShift = 12;
+    static constexpr uint32_t ChunkSize = 1u << ChunkShift;
+
+    uint32_t size() const { return Size; }
+    void push(const PendingEdge &E) {
+      if ((Size & (ChunkSize - 1)) == 0)
+        Chunks.emplace_back(new PendingEdge[ChunkSize]);
+      Chunks.back()[Size & (ChunkSize - 1)] = E;
+      ++Size;
+    }
+    const PendingEdge &operator[](uint32_t I) const {
+      return Chunks[I >> ChunkShift][I & (ChunkSize - 1)];
+    }
+    /// Calls \p Fn on every edge in insertion order.
+    template <class FnT> void forEach(FnT Fn) const {
+      for (uint32_t C = 0; C != Chunks.size(); ++C) {
+        const uint32_t N = std::min(ChunkSize, Size - (C << ChunkShift));
+        for (uint32_t I = 0; I != N; ++I)
+          Fn(Chunks[C][I]);
+      }
+    }
+    /// Calls \p Fn on every edge in insertion order, releasing each chunk
+    /// after its last edge; the buffer is empty afterwards.
+    template <class FnT> void drain(FnT Fn) {
+      for (uint32_t C = 0; C != Chunks.size(); ++C) {
+        const uint32_t N = std::min(ChunkSize, Size - (C << ChunkShift));
+        for (uint32_t I = 0; I != N; ++I)
+          Fn(Chunks[C][I]);
+        Chunks[C].reset();
+      }
+      Chunks.clear();
+      Size = 0;
+    }
+
+  private:
+    std::vector<std::unique_ptr<PendingEdge[]>> Chunks;
+    uint32_t Size = 0;
   };
 
   /// A reachable return of a callee with its SSA annotations.
@@ -270,10 +410,16 @@ private:
   void collectReturns();
 
   uint32_t getNode(const ir::Function *Fn, ssa::VarKey Key, uint32_t Version);
-  uint32_t nodeAtSlot(const ir::Function *Fn, ssa::VarKey Key, uint32_t Slot,
-                      uint32_t Version);
+  uint32_t nodeAtSlot(const ir::Function *Fn, uint32_t Slot, uint32_t Version);
+  /// Adds a dependency edge unless From's current burst already has it.
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
+  /// Adds a dependency edge of a version-0 node. Its edges arrive one
+  /// call site at a time and carry distinct labels, so none is a
+  /// duplicate.
+  void addEntryDep(uint32_t From, uint32_t To, EdgeKind Kind,
+                   uint32_t CallSite = ~0u);
+  bool inBurst(PackedEdge E);
   void setOrigin(uint32_t Node, NodeOrigin O);
   uint32_t operandNode(const ir::Function *Fn, const ssa::InstSSA &Info,
                        const ir::Operand &Op);
@@ -299,9 +445,24 @@ private:
   const analysis::CallGraph *CG;
   VFGOptions Opts;
   VFG G;
-  /// Edges in insertion order, duplicates included; freeze() sorts them
-  /// into the CSR arrays.
-  std::vector<PendingEdge> Pending;
+  /// Edges in insertion order; freeze() counting-sorts them into the CSR
+  /// arrays.
+  EdgeBuffer Pending;
+  /// Every non-version-0 node receives all its dependencies in one
+  /// contiguous burst, so dropping an edge already in the current burst
+  /// drops every duplicate. The burst is Pending[BurstBegin ..); bursts
+  /// longer than ShortBurst look a target up in LastEdge (one past the
+  /// index of the newest edge to it) instead of scanning.
+  static constexpr uint32_t ShortBurst = 8;
+  uint32_t BurstFrom = ~0u, BurstBegin = 0;
+  struct FreeDeleter {
+    void operator()(void *P) const { std::free(P); }
+  };
+  /// Zeroed by calloc, whose fresh pages stay untouched until a long
+  /// burst reaches them.
+  std::unique_ptr<uint32_t[], FreeDeleter> LastEdge;
+  /// Upper bound on the node count: the roots plus every SSA version.
+  uint32_t MaxNodes = 0;
   /// Allocation anchor of every semi-strong cut, one entry per cut.
   std::vector<uint32_t> CutObjects;
   /// Key slot of each memory location of CurFn, ~0u elsewhere.

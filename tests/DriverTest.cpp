@@ -107,6 +107,12 @@ TEST(Driver, PopulatesStatisticsAndPhases) {
   EXPECT_FALSE(S.PhaseSeconds.empty());
   EXPECT_TRUE(S.PhaseSeconds.count("1.pointer-analysis"));
   EXPECT_TRUE(S.PhaseSeconds.count("4.definedness"));
+  // Mod/ref has its own phase, listed between pointer analysis and
+  // memory SSA.
+  auto ModRef = S.PhaseSeconds.find("1b.modref");
+  ASSERT_NE(ModRef, S.PhaseSeconds.end());
+  EXPECT_EQ(std::prev(ModRef)->first, "1.pointer-analysis");
+  EXPECT_EQ(std::next(ModRef)->first, "2.memory-ssa");
   // Analyses are kept alive for inspection.
   EXPECT_NE(R.G, nullptr);
   EXPECT_NE(R.Gamma, nullptr);

@@ -94,6 +94,63 @@ TEST(Lexer, ReportsUnexpectedCharacter) {
   EXPECT_TRUE(SawError);
 }
 
+TEST(Lexer, TokenTextViewsTheSource) {
+  std::string_view Src = "func main() { x = 42; }";
+  for (const Token &T : tokenize(Src)) {
+    if (T.is(TokenKind::Eof))
+      continue;
+    EXPECT_GE(T.Text.data(), Src.data());
+    EXPECT_LE(T.Text.data() + T.Text.size(), Src.data() + Src.size());
+  }
+}
+
+TEST(Lexer, StreamStaysOnItsLastToken) {
+  Lexer Done("a");
+  EXPECT_TRUE(Done.next().is(TokenKind::Ident));
+  for (int I = 0; I != 3; ++I) {
+    Token T = Done.next();
+    EXPECT_TRUE(T.is(TokenKind::Eof));
+    EXPECT_EQ(T.Col, 2u);
+  }
+  Lexer Bad("a\n $ b");
+  EXPECT_TRUE(Bad.next().is(TokenKind::Ident));
+  for (int I = 0; I != 3; ++I) {
+    Token T = Bad.next();
+    EXPECT_TRUE(T.is(TokenKind::Error));
+    EXPECT_EQ(T.Text, "unexpected character '$'");
+    EXPECT_EQ(T.Line, 2u);
+    EXPECT_EQ(T.Col, 2u);
+  }
+}
+
+TEST(Lexer, SavedCursorRelexesTheSameTokens) {
+  Lexer L("x = y + 1;");
+  L.next();
+  Lexer Saved = L;
+  std::vector<std::string> First, Second;
+  for (Token T = L.next(); !T.is(TokenKind::Eof); T = L.next())
+    First.emplace_back(T.Text);
+  for (Token T = Saved.next(); !T.is(TokenKind::Eof); T = Saved.next())
+    Second.emplace_back(T.Text);
+  EXPECT_EQ(First, (std::vector<std::string>{"=", "y", "+", "1", ";"}));
+  EXPECT_EQ(First, Second);
+}
+
+TEST(Lexer, IntegerOverflowIsALexicalError) {
+  auto Tokens = tokenize("9223372036854775807 9223372036854775808");
+  ASSERT_EQ(Tokens.size(), 2u);
+  EXPECT_EQ(Tokens[0].IntValue, INT64_MAX);
+  EXPECT_TRUE(Tokens[1].is(TokenKind::Error));
+  EXPECT_EQ(Tokens[1].Text, "integer literal out of range");
+  EXPECT_EQ(Tokens[1].Col, 21u);
+
+  ParseResult R =
+      parseModule("func main() {\n  x = 99999999999999999999;\n  ret x;\n}\n");
+  EXPECT_FALSE(R.succeeded());
+  EXPECT_EQ(R.Errors,
+            std::vector<std::string>{"2:7: integer literal out of range"});
+}
+
 //===----------------------------------------------------------------------===//
 // Parser: acceptance
 //===----------------------------------------------------------------------===//

@@ -226,6 +226,7 @@ SCALE_CONFIGS = [
 
 SCALE_PHASES = [
     "pointer_analysis_ms",
+    "modref_ms",
     "memory_ssa_ms",
     "vfg_ms",
     "definedness_ms",
