@@ -17,6 +17,7 @@ using namespace usher;
 using namespace usher::core;
 using vfg::Edge;
 using vfg::EdgeKind;
+using vfg::PackedEdge;
 using vfg::VFG;
 
 /// The k-bounded unmatched-call-site stack lives in core/ContextStack.h so
@@ -144,11 +145,11 @@ private:
   /// Component (dense index) of every node in the universe.
   std::vector<uint32_t> Rep;
   uint32_t NumReps = 0;
-  /// Condensed labeled flows per component, CSR; Edge::Node is the target
-  /// component, or Escape for a flow leaving the universe.
+  /// Condensed labeled flows per component, CSR; PackedEdge::Node is the
+  /// target component, or Escape for a flow leaving the universe.
   static constexpr uint32_t Escape = ~0u;
   std::vector<uint32_t> FlowBegin;
-  std::vector<Edge> Flows;
+  std::vector<PackedEdge> Flows;
 
   /// Per component: its first context inline, the count of contexts seen
   /// (the Saturated bit marks a component collapsed to the universal
@@ -178,19 +179,21 @@ private:
 void Resolver::condenseDirectSccs() {
   const uint32_t N = G.numNodes();
   Rep.assign(N, ~0u);
-  std::vector<uint32_t> Index(N, 0), Low(N, 0), SccStack;
-  std::vector<uint8_t> OnStack(N, 0);
+  std::vector<uint32_t> Index(N, 0), SccStack;
+  // A node's low-link is only read while its frame is open, so it lives
+  // in the frame; a visited node is on SccStack until Rep names its
+  // component.
   struct Frame {
     uint32_t Node;
     uint32_t NextSlot;
+    uint32_t Low;
   };
   std::vector<Frame> Stack;
   uint32_t NextIndex = 1;
   auto Open = [&](uint32_t Node) {
-    Index[Node] = Low[Node] = NextIndex++;
-    OnStack[Node] = 1;
+    Index[Node] = NextIndex++;
     SccStack.push_back(Node);
-    Stack.push_back({Node, G.userSlot(Node)});
+    Stack.push_back({Node, G.userSlot(Node), Index[Node]});
   };
   forEachNode([&](uint32_t Root) {
     if (Index[Root])
@@ -198,34 +201,33 @@ void Resolver::condenseDirectSccs() {
     Open(Root);
     while (!Stack.empty()) {
       Frame &F = Stack.back();
-      uint32_t U = F.Node;
-      if (F.NextSlot != G.userSlot(U + 1)) {
+      if (F.NextSlot != G.userSlot(F.Node + 1)) {
         uint32_t Slot = F.NextSlot++;
-        const Edge &E = G.userAt(Slot);
-        if (E.Kind != EdgeKind::Direct || removed(Slot) ||
+        const PackedEdge &E = G.userAt(Slot);
+        if (E.kind() != EdgeKind::Direct || removed(Slot) ||
             !inUniverse(E.Node))
           continue;
         uint32_t V = E.Node;
         if (!Index[V])
           Open(V);
-        else if (OnStack[V])
-          Low[U] = std::min(Low[U], Index[V]);
+        else if (Rep[V] == ~0u)
+          F.Low = std::min(F.Low, Index[V]);
         continue;
       }
+      const Frame Done = F;
       Stack.pop_back();
       if (!Stack.empty())
-        Low[Stack.back().Node] = std::min(Low[Stack.back().Node], Low[U]);
-      if (Low[U] == Index[U]) {
+        Stack.back().Low = std::min(Stack.back().Low, Done.Low);
+      const uint32_t U = Done.Node;
+      if (Done.Low == Index[U]) {
         // U roots a component: its members sit above U on SccStack.
         size_t First = SccStack.size() - 1;
         while (SccStack[First] != U)
           --First;
         uint32_t Min =
             *std::min_element(SccStack.begin() + First, SccStack.end());
-        for (size_t I = First; I != SccStack.size(); ++I) {
-          OnStack[SccStack[I]] = 0;
+        for (size_t I = First; I != SccStack.size(); ++I)
           Rep[SccStack[I]] = Min;
-        }
         SccStack.resize(First);
       }
     }
@@ -243,38 +245,35 @@ void Resolver::condenseDirectSccs() {
 /// Builds the condensed labeled adjacency by counting sort on the source
 /// component: intra-component Direct flows vanish, Call/Ret flows survive
 /// even as self-loops (they transform the context). Each component's
-/// flows are then sorted by (target, kind, call site) and deduplicated.
+/// flows are then sorted by (target, kind, call site) — the packed label
+/// orders by kind, then call site — and deduplicated.
 void Resolver::buildCondensedFlows() {
-  FlowBegin.assign(NumReps + 1, 0);
   auto ForEachFlow = [&](auto Fn) {
     forEachNode([&](uint32_t S) {
-      uint32_t RS = Rep[S];
-      auto Users = G.users(S);
-      for (uint32_t I = 0; I != Users.size(); ++I) {
-        const Edge &E = Users[I];
-        if (removed(G.userSlot(S) + I))
+      const uint32_t RS = Rep[S];
+      for (uint32_t Slot = G.userSlot(S); Slot != G.userSlot(S + 1); ++Slot) {
+        if (removed(Slot))
           continue;
+        const PackedEdge &E = G.userAt(Slot);
         uint32_t RT = inUniverse(E.Node) ? Rep[E.Node] : Escape;
-        if (E.Kind == EdgeKind::Direct && RS == RT)
+        if (E.kind() == EdgeKind::Direct && RS == RT)
           continue;
-        Fn(RS, Edge{RT, E.Kind, E.CallSite});
+        Fn(RS, PackedEdge{RT, E.Label});
       }
     });
   };
-  ForEachFlow([&](uint32_t RS, const Edge &) { ++FlowBegin[RS + 1]; });
-  for (uint32_t R = 0; R != NumReps; ++R)
-    FlowBegin[R + 1] += FlowBegin[R];
-  Flows.resize(FlowBegin[NumReps]);
-  {
-    std::vector<uint32_t> Cursor(FlowBegin.begin(), FlowBegin.end() - 1);
-    ForEachFlow([&](uint32_t RS, const Edge &E) { Flows[Cursor[RS]++] = E; });
-  }
-  auto Less = [](const Edge &A, const Edge &B) {
-    if (A.Node != B.Node)
-      return A.Node < B.Node;
-    if (A.Kind != B.Kind)
-      return A.Kind < B.Kind;
-    return A.CallSite < B.CallSite;
+  // Counted one slot to the right, so that filling advances
+  // FlowBegin[R + 1] from R's first slot to where R + 1 begins.
+  FlowBegin.assign(NumReps + 2, 0);
+  ForEachFlow([&](uint32_t RS, PackedEdge) { ++FlowBegin[RS + 2]; });
+  for (uint32_t R = 2; R != NumReps + 2; ++R)
+    FlowBegin[R] += FlowBegin[R - 1];
+  Flows.resize(FlowBegin[NumReps + 1]);
+  ForEachFlow(
+      [&](uint32_t RS, PackedEdge E) { Flows[FlowBegin[RS + 1]++] = E; });
+  FlowBegin.pop_back();
+  auto Less = [](const PackedEdge &A, const PackedEdge &B) {
+    return A.Node != B.Node ? A.Node < B.Node : A.Label < B.Label;
   };
   uint32_t Out = 0;
   for (uint32_t R = 0; R != NumReps; ++R) {
@@ -346,13 +345,14 @@ Resolver::Outcome Resolver::run(BitSet &Bottom) {
     State S = Work.back();
     Work.pop_back();
     for (uint32_t I = FlowBegin[S.Rep]; I != FlowBegin[S.Rep + 1]; ++I) {
-      const Edge &E = Flows[I];
+      const PackedEdge &E = Flows[I];
+      const EdgeKind Kind = E.kind();
       Context Next = S.Ctx;
-      if (E.Kind == EdgeKind::Call) {
+      if (Kind == EdgeKind::Call) {
         if (K != 0)
-          Next = S.Ctx.pushed(E.CallSite, K);
-      } else if (E.Kind == EdgeKind::Ret) {
-        if (K != 0 && !S.Ctx.popped(E.CallSite, Next))
+          Next = S.Ctx.pushed(E.callSite(), K);
+      } else if (Kind == EdgeKind::Ret) {
+        if (K != 0 && !S.Ctx.popped(E.callSite(), Next))
           continue;
       }
       if (E.Node == Escape) {
@@ -416,11 +416,11 @@ Definedness::Definedness(const VFG &G, DefinednessOptions Opts,
     RemovedUsers.resize(G.numEdges());
     Redirected->forEach([&](size_t Slot) {
       const uint32_t Owner = G.depOwner(static_cast<uint32_t>(Slot));
-      const Edge &D = G.depAt(static_cast<uint32_t>(Slot));
-      auto Users = G.users(D.Node);
-      for (uint32_t I = 0; I != Users.size(); ++I) {
-        if (Users[I] == Edge{Owner, D.Kind, D.CallSite}) {
-          RemovedUsers.set(G.userSlot(D.Node) + I);
+      const PackedEdge &D = G.depAt(static_cast<uint32_t>(Slot));
+      const PackedEdge Mirror{Owner, D.Label};
+      for (uint32_t U = G.userSlot(D.Node); U != G.userSlot(D.Node + 1); ++U) {
+        if (G.userAt(U) == Mirror) {
+          RemovedUsers.set(U);
           break;
         }
       }

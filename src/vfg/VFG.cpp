@@ -14,6 +14,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdlib>
+#include <memory>
+#include <new>
 #include <tuple>
 
 using namespace usher;
@@ -61,7 +64,7 @@ uint32_t VFG::findNode(const Function *Fn, VarKey Key,
 }
 
 uint32_t VFG::depOwner(uint32_t Slot) const {
-  assert(Slot < DepEdges.size() && "dependency slot out of range");
+  assert(Slot < NumEdges && "dependency slot out of range");
   // The owner is the last node whose first slot is <= Slot; nodes without
   // dependencies share their successor's offset, so take the last one.
   auto It = std::upper_bound(DepBegin.begin(), DepBegin.end(), Slot);
@@ -339,12 +342,6 @@ void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
   Pending.push({From, E});
 }
 
-void VFGBuilder::addEntryDep(uint32_t From, uint32_t To, EdgeKind Kind,
-                             uint32_t CallSite) {
-  BurstFrom = ~0u;
-  Pending.push({From, packEdge(To, Kind, CallSite)});
-}
-
 /// True if some node lists one dependency twice.
 [[maybe_unused]] static bool hasDuplicateDeps(const VFG &G) {
   std::vector<Edge> Deps;
@@ -382,8 +379,9 @@ void VFGBuilder::freeze() {
     G.DepBegin[I] += G.DepBegin[I - 1];
     G.UserBegin[I] += G.UserBegin[I - 1];
   }
-  G.DepEdges.resize(P);
-  G.UserEdges.resize(P);
+  G.DepEdges = std::make_unique_for_overwrite<PackedEdge[]>(P);
+  G.UserEdges = std::make_unique_for_overwrite<PackedEdge[]>(P);
+  G.NumEdges = P;
   Pending.drain([&](const PendingEdge &P) {
     G.DepEdges[G.DepBegin[P.From + 1]++] = P.E;
     G.UserEdges[G.UserBegin[P.E.Node + 1]++] = {P.From, P.E.Label};
@@ -595,7 +593,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
         getNode(Callee, {Space::TopLevel, Params[Idx]->getId()}, 0);
     setOrigin(Formal, NodeOrigin::FormalParam);
     uint32_t Actual = operandNode(&F, Info, Call.getArgs()[Idx]);
-    addEntryDep(Formal, Actual, EdgeKind::Call, CallSite);
+    addDep(Formal, Actual, EdgeKind::Call, CallSite);
   }
 
   const std::vector<ReturnSite> &Rets = Returns[Callee->getId()];
@@ -651,8 +649,8 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
     uint32_t FormalIn =
         nodeAtSlot(Callee, CalleeMemSlot0 + I, 0);
     setOrigin(FormalIn, NodeOrigin::FormalIn);
-    addEntryDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
-                EdgeKind::Call, CallSite);
+    addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
+           EdgeKind::Call, CallSite);
   }
 
   // Chis at the call: clone allocations behave like allocation sites; mod
@@ -838,7 +836,7 @@ VFG VFGBuilder::build() {
       const Variable *V = N.Fn->variables()[N.Key.Id].get();
       if (!V->isParam()) {
         setOrigin(Id, NodeOrigin::EntryDef);
-        addEntryDep(Id, VFG::RootF, EdgeKind::Direct);
+        addDep(Id, VFG::RootF, EdgeKind::Direct);
       }
       // Parameters: call edges only; a never-called function stays T.
     } else if (N.Fn == Main) {
@@ -848,10 +846,10 @@ VFG VFGBuilder::build() {
       const MemObject *Obj = PA.location(N.Key.Id).Obj;
       setOrigin(Id, NodeOrigin::EntryDef);
       if (Obj->isGlobal())
-        addEntryDep(Id, Obj->isInitialized() ? VFG::RootT : VFG::RootF,
-                    EdgeKind::Direct);
+        addDep(Id, Obj->isInitialized() ? VFG::RootT : VFG::RootF,
+               EdgeKind::Direct);
       else
-        addEntryDep(Id, VFG::RootT, EdgeKind::Direct);
+        addDep(Id, VFG::RootT, EdgeKind::Direct);
     }
   }
   freeze();

@@ -36,7 +36,6 @@
 #include <cstdlib>
 #include <iterator>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
@@ -88,6 +87,7 @@ struct PackedEdge {
     return kind() == EdgeKind::Direct ? ~0u : Label & SiteMask;
   }
   Edge unpack() const { return {Node, kind(), callSite()}; }
+  bool operator==(const PackedEdge &O) const = default;
 };
 
 /// A node's dependency or user edges, unpacked as they are read.
@@ -203,27 +203,28 @@ public:
 
   /// Dependency edges of \p Id (what its value is computed from).
   EdgeRange deps(uint32_t Id) const {
-    return {DepEdges.data() + DepBegin[Id],
-            DepEdges.data() + DepBegin[Id + 1]};
+    return {DepEdges.get() + DepBegin[Id], DepEdges.get() + DepBegin[Id + 1]};
   }
 
   /// Reverse edges of \p Id (who consumes its value).
   EdgeRange users(uint32_t Id) const {
-    return {UserEdges.data() + UserBegin[Id],
-            UserEdges.data() + UserBegin[Id + 1]};
+    return {UserEdges.get() + UserBegin[Id],
+            UserEdges.get() + UserBegin[Id + 1]};
   }
 
   /// Dependency edges are numbered 0..numEdges()-1 by their slot in the
   /// flat array: the I-th dependency of \p Id sits in slot
   /// depSlot(Id) + I. Opt II's redirect overlay is a bitset over slots.
+  /// depAt() and userAt() return the stored edge, still packed, for the
+  /// hot loops that mostly need only its node.
   uint32_t depSlot(uint32_t Id) const { return DepBegin[Id]; }
-  Edge depAt(uint32_t Slot) const { return DepEdges[Slot].unpack(); }
+  const PackedEdge &depAt(uint32_t Slot) const { return DepEdges[Slot]; }
   /// The node whose dependency list holds \p Slot.
   uint32_t depOwner(uint32_t Slot) const;
 
   /// User edges are numbered the same way (slot userSlot(Id) + I).
   uint32_t userSlot(uint32_t Id) const { return UserBegin[Id]; }
-  Edge userAt(uint32_t Slot) const { return UserEdges[Slot].unpack(); }
+  const PackedEdge &userAt(uint32_t Slot) const { return UserEdges[Slot]; }
 
   /// Provenance of \p Id (see NodeOrigin).
   NodeOrigin origin(uint32_t Id) const { return Origins[Id]; }
@@ -254,7 +255,7 @@ public:
   uint64_t numStrongStoreChis() const { return NumStrong; }
   uint64_t numSemiStrongStoreChis() const { return NumSemi; }
   uint64_t numWeakStoreChis() const { return NumWeak; }
-  uint64_t numEdges() const { return DepEdges.size(); }
+  uint64_t numEdges() const { return NumEdges; }
 
   /// Coverage hook for the fuzzer's analysis-feature scheduler: a bitmask
   /// with bit static_cast<unsigned>(O) set for every NodeOrigin kind this
@@ -292,24 +293,14 @@ private:
            (FnMemBegin[F + 1] - FnMemBegin[F]);
   }
 
-  /// Allocator whose value-initialization is a no-op: resize() leaves the
-  /// edge arrays untouched, so freeze() writes every element exactly once.
-  template <class T> struct UninitAllocator : std::allocator<T> {
-    template <class U> struct rebind {
-      using other = UninitAllocator<U>;
-    };
-    template <class U> void construct(U *) noexcept {}
-    template <class U, class... Args> void construct(U *P, Args &&...A) {
-      ::new (static_cast<void *>(P)) U(std::forward<Args>(A)...);
-    }
-  };
-  using EdgeArray = std::vector<PackedEdge, UninitAllocator<PackedEdge>>;
-
   std::vector<const ir::Function *> Fns; ///< By function id.
   std::vector<NodeRecord> Nodes;
   std::vector<NodeOrigin> Origins;
   std::vector<uint32_t> DepBegin, UserBegin; ///< numNodes() + 1 offsets.
-  EdgeArray DepEdges, UserEdges;
+  /// numEdges() entries each, left uninitialized until freeze() writes
+  /// every one exactly once.
+  std::unique_ptr<PackedEdge[]> DepEdges, UserEdges;
+  uint32_t NumEdges = 0;
 
   /// Version tables. Function F (by id) owns the key slots starting at
   /// FnSlotBegin[F]: first its top-level variables by id, then its memory
@@ -414,11 +405,6 @@ private:
   /// Adds a dependency edge unless From's current burst already has it.
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
-  /// Adds a dependency edge of a version-0 node. Its edges arrive one
-  /// call site at a time and carry distinct labels, so none is a
-  /// duplicate.
-  void addEntryDep(uint32_t From, uint32_t To, EdgeKind Kind,
-                   uint32_t CallSite = ~0u);
   bool inBurst(PackedEdge E);
   void setOrigin(uint32_t Node, NodeOrigin O);
   uint32_t operandNode(const ir::Function *Fn, const ssa::InstSSA &Info,
@@ -448,11 +434,12 @@ private:
   /// Edges in insertion order; freeze() counting-sorts them into the CSR
   /// arrays.
   EdgeBuffer Pending;
-  /// Every non-version-0 node receives all its dependencies in one
-  /// contiguous burst, so dropping an edge already in the current burst
-  /// drops every duplicate. The burst is Pending[BurstBegin ..); bursts
-  /// longer than ShortBurst look a target up in LastEdge (one past the
-  /// index of the newest edge to it) instead of scanning.
+  /// Every node except the version-0 ones receives all its dependencies
+  /// in one contiguous burst, so dropping an edge already in the current
+  /// burst drops every duplicate; version-0 nodes get one edge per call
+  /// site, each with its own label. The burst is Pending[BurstBegin ..);
+  /// bursts longer than ShortBurst look a target up in LastEdge (one past
+  /// the index of the newest edge to it) instead of scanning.
   static constexpr uint32_t ShortBurst = 8;
   uint32_t BurstFrom = ~0u, BurstBegin = 0;
   struct FreeDeleter {
