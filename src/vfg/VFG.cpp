@@ -270,19 +270,17 @@ uint32_t VFGBuilder::getNode(const Function *Fn, VarKey Key,
                              uint32_t Version) {
   uint32_t Slot = Fn == CurFn && Key.Sp == Space::Memory ? LocSlot[Key.Id]
                                                          : G.keySlot(Fn, Key);
-  return nodeAtSlot(Fn, Slot, Version);
+  return nodeAtSlot(Slot, Version);
 }
 
-uint32_t VFGBuilder::nodeAtSlot(const Function *Fn, uint32_t Slot,
-                                uint32_t Version) {
+uint32_t VFGBuilder::nodeAtSlot(uint32_t Slot, uint32_t Version) {
   assert(Slot != ~0u && Version < G.SlotBegin[Slot + 1] - G.SlotBegin[Slot] &&
          "VFG node for a version memory SSA never created");
   uint32_t &Id = G.VersionNode[G.SlotBegin[Slot] + Version];
   if (Id != ~0u)
     return Id;
   Id = static_cast<uint32_t>(G.Nodes.size());
-  const uint32_t FnId = Fn->getId();
-  G.Nodes.push_back({FnId, Slot - G.FnSlotBegin[FnId], Version});
+  G.Nodes.push_back({Slot, Version});
   G.Origins.push_back(NodeOrigin::Unknown);
   return Id;
 }
@@ -646,8 +644,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
       Version = Info.Chis[ChiIdx].OldVersion;
     else
       continue;
-    uint32_t FormalIn =
-        nodeAtSlot(Callee, CalleeMemSlot0 + I, 0);
+    uint32_t FormalIn = nodeAtSlot(CalleeMemSlot0 + I, 0);
     setOrigin(FormalIn, NodeOrigin::FormalIn);
     addDep(FormalIn, getNode(&F, {Space::Memory, Loc}, Version),
            EdgeKind::Call, CallSite);
@@ -685,8 +682,7 @@ void VFGBuilder::buildCall(const Function &F, const CallInst &Call,
         // Return mus read the callee's formal-outs, all of them formal-ins.
         assert(InIdx != FormalIns.size() && FormalIns[InIdx] == Chi.Loc &&
                "return mu on a location outside the callee's formal-ins");
-        addDep(NewNode,
-               nodeAtSlot(Callee, CalleeMemSlot0 + InIdx, Mus[Cur].Version),
+        addDep(NewNode, nodeAtSlot(CalleeMemSlot0 + InIdx, Mus[Cur].Version),
                EdgeKind::Ret, CallSite);
       }
     }

@@ -172,7 +172,7 @@ public:
   static constexpr uint32_t RootF = 1;
 
   /// Payload of a non-root node: a versioned SSA variable of one function.
-  /// node() unpacks it from the 12-byte stored record.
+  /// node() unpacks it from the 8-byte stored record.
   struct NodeData {
     const ir::Function *Fn = nullptr;
     ssa::VarKey Key{ssa::Space::TopLevel, 0};
@@ -192,13 +192,19 @@ public:
   bool isRoot(uint32_t Id) const { return Id == RootT || Id == RootF; }
   NodeData node(uint32_t Id) const {
     const NodeRecord &R = Nodes[Id];
-    const uint32_t NumTL = numTopLevel(R.Fn);
-    if (R.Slot < NumTL)
-      return {Fns[R.Fn], {ssa::Space::TopLevel, R.Slot}, R.Version, R.Slot};
-    return {Fns[R.Fn],
-            {ssa::Space::Memory, MemLocs[FnMemBegin[R.Fn] + R.Slot - NumTL]},
+    // The owner is the last function whose first slot is <= R.Slot;
+    // functions without slots share their successor's offset.
+    const uint32_t F = static_cast<uint32_t>(
+        std::upper_bound(FnSlotBegin.begin(), FnSlotBegin.end(), R.Slot) -
+        FnSlotBegin.begin() - 1);
+    const uint32_t Slot = R.Slot - FnSlotBegin[F];
+    const uint32_t NumTL = numTopLevel(F);
+    if (Slot < NumTL)
+      return {Fns[F], {ssa::Space::TopLevel, Slot}, R.Version, Slot};
+    return {Fns[F],
+            {ssa::Space::Memory, MemLocs[FnMemBegin[F] + Slot - NumTL]},
             R.Version,
-            R.Slot};
+            Slot};
   }
 
   /// Dependency edges of \p Id (what its value is computed from).
@@ -280,12 +286,12 @@ private:
   /// Slot of (Fn, Key) in the version tables, or ~0u.
   uint32_t keySlot(const ir::Function *Fn, ssa::VarKey Key) const;
 
-  /// A node as stored: function id, key slot within the function (which
-  /// determines the key, see the version tables below) and version.
+  /// A node as stored: its key slot in the version tables (which
+  /// determines the function and the key, see below) and version.
   struct NodeRecord {
-    uint32_t Fn, Slot, Version;
+    uint32_t Slot, Version;
   };
-  static_assert(sizeof(NodeRecord) == 12, "node records are 12 bytes");
+  static_assert(sizeof(NodeRecord) == 8, "node records are 8 bytes");
 
   /// Number of top-level variables (the first key slots) of function \p F.
   uint32_t numTopLevel(uint32_t F) const {
@@ -401,7 +407,7 @@ private:
   void collectReturns();
 
   uint32_t getNode(const ir::Function *Fn, ssa::VarKey Key, uint32_t Version);
-  uint32_t nodeAtSlot(const ir::Function *Fn, uint32_t Slot, uint32_t Version);
+  uint32_t nodeAtSlot(uint32_t Slot, uint32_t Version);
   /// Adds a dependency edge unless From's current burst already has it.
   void addDep(uint32_t From, uint32_t To, EdgeKind Kind,
               uint32_t CallSite = ~0u);
