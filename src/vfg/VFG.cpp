@@ -340,17 +340,26 @@ void VFGBuilder::addDep(uint32_t From, uint32_t To, EdgeKind Kind,
   Pending.push({From, E});
 }
 
-/// True if some node lists one dependency twice.
+/// True if some node lists one dependency twice. Assertions stay on in
+/// optimized builds, so this runs on every graph: short lists, which
+/// are nearly all of them, are compared pairwise in place and only
+/// longer ones are copied and sorted.
 [[maybe_unused]] static bool hasDuplicateDeps(const VFG &G) {
-  std::vector<Edge> Deps;
-  auto Less = [](const Edge &A, const Edge &B) {
-    return std::tie(A.Node, A.Kind, A.CallSite) <
-           std::tie(B.Node, B.Kind, B.CallSite);
+  constexpr uint32_t ShortList = 8;
+  std::vector<PackedEdge> Deps;
+  auto Less = [](const PackedEdge &A, const PackedEdge &B) {
+    return std::tie(A.Node, A.Label) < std::tie(B.Node, B.Label);
   };
   for (uint32_t Id = 0; Id != G.numNodes(); ++Id) {
-    Deps.clear();
-    for (const Edge &E : G.deps(Id))
-      Deps.push_back(E);
+    const uint32_t Begin = G.depSlot(Id), End = G.depSlot(Id + 1);
+    if (End - Begin <= ShortList) {
+      for (uint32_t I = Begin; I != End; ++I)
+        for (uint32_t J = I + 1; J != End; ++J)
+          if (G.depAt(I) == G.depAt(J))
+            return true;
+      continue;
+    }
+    Deps.assign(&G.depAt(Begin), &G.depAt(Begin) + (End - Begin));
     std::sort(Deps.begin(), Deps.end(), Less);
     if (std::adjacent_find(Deps.begin(), Deps.end()) != Deps.end())
       return true;
