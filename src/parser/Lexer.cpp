@@ -10,7 +10,6 @@
 #include "support/ParseNumber.h"
 
 #include <array>
-#include <cctype>
 #include <string>
 
 using namespace usher;
@@ -29,16 +28,39 @@ static std::string_view unexpectedCharacter(char C) {
   return Messages[static_cast<unsigned char>(C)];
 }
 
+namespace {
+/// Character classes of the "C" locale's isspace (the four the grammar
+/// allows), isalpha or '_', isalnum or '_' or '.', and isdigit.
+enum : uint8_t { Blank = 1, IdentStart = 2, IdentRest = 4, Digit = 8 };
+constexpr std::array<uint8_t, 256> CharClass = [] {
+  std::array<uint8_t, 256> T{};
+  for (char C : {' ', '\t', '\r', '\n'})
+    T[static_cast<unsigned char>(C)] = Blank;
+  for (unsigned C = 'a'; C <= 'z'; ++C)
+    T[C] = T[C - 'a' + 'A'] = IdentStart | IdentRest;
+  for (unsigned C = '0'; C <= '9'; ++C)
+    T[C] = Digit | IdentRest;
+  T['_'] = IdentStart | IdentRest;
+  T['.'] = IdentRest;
+  return T;
+}();
+} // namespace
+
 void Lexer::skipTrivia() {
-  while (!atEnd()) {
-    char C = peek();
-    if (C == ' ' || C == '\t' || C == '\r' || C == '\n') {
-      advance();
+  const size_t Size = Src.size();
+  while (Pos != Size) {
+    const char C = Src[Pos];
+    if (CharClass[static_cast<unsigned char>(C)] & Blank) {
+      if (C == '\n') {
+        ++Line;
+        LineStart = Pos + 1;
+      }
+      ++Pos;
       continue;
     }
     if (C == '/' && peek(1) == '/') {
-      while (!atEnd() && peek() != '\n')
-        advance();
+      const size_t Eol = Src.find('\n', Pos);
+      Pos = Eol == std::string_view::npos ? Size : Eol;
       continue;
     }
     break;
@@ -49,7 +71,7 @@ Token Lexer::next() {
   skipTrivia();
   Token T;
   T.Line = Line;
-  T.Col = Col;
+  T.Col = static_cast<unsigned>(Pos - LineStart + 1);
   if (atEnd())
     return T; // Eof.
 
@@ -63,23 +85,24 @@ Token Lexer::next() {
   // stays on its Error token.
   auto Fail = [&](std::string_view Message) {
     Pos = Start;
-    Line = T.Line;
-    Col = T.Col;
     T.Kind = TokenKind::Error;
     T.Text = Message;
     return T;
   };
+  auto Skip = [&](uint8_t Class) {
+    while (Pos != Src.size() &&
+           (CharClass[static_cast<unsigned char>(Src[Pos])] & Class))
+      ++Pos;
+  };
 
-  char C = advance();
-  if (std::isalpha(static_cast<unsigned char>(C)) || C == '_') {
-    while (std::isalnum(static_cast<unsigned char>(peek())) || peek() == '_' ||
-           peek() == '.')
-      advance();
+  const char C = Src[Pos++];
+  const uint8_t Class = CharClass[static_cast<unsigned char>(C)];
+  if (Class & IdentStart) {
+    Skip(IdentRest);
     return Finish(TokenKind::Ident);
   }
-  if (std::isdigit(static_cast<unsigned char>(C))) {
-    while (std::isdigit(static_cast<unsigned char>(peek())))
-      advance();
+  if (Class & Digit) {
+    Skip(Digit);
     uint64_t Value;
     if (!parseDecimal(Src.substr(Start, Pos - Start), Value) ||
         Value > static_cast<uint64_t>(INT64_MAX))
@@ -125,33 +148,33 @@ Token Lexer::next() {
     return Finish(TokenKind::Caret);
   case '=':
     if (peek() == '=') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::EqEq);
     }
     return Finish(TokenKind::Assign);
   case '!':
     if (peek() == '=') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::NotEq);
     }
     return Fail(unexpectedCharacter(C));
   case '<':
     if (peek() == '<') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::Shl);
     }
     if (peek() == '=') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::LessEq);
     }
     return Finish(TokenKind::Less);
   case '>':
     if (peek() == '>') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::Shr);
     }
     if (peek() == '=') {
-      advance();
+      ++Pos;
       return Finish(TokenKind::GreaterEq);
     }
     return Finish(TokenKind::Greater);

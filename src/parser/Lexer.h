@@ -89,22 +89,16 @@ private:
   char peek(size_t Ahead = 0) const {
     return Pos + Ahead < Src.size() ? Src[Pos + Ahead] : '\0';
   }
-  char advance() {
-    char C = Src[Pos++];
-    if (C == '\n') {
-      ++Line;
-      Col = 1;
-    } else {
-      ++Col;
-    }
-    return C;
-  }
   bool atEnd() const { return Pos >= Src.size(); }
   void skipTrivia();
 
   std::string_view Src;
   size_t Pos = 0;
-  unsigned Line = 1, Col = 1;
+  /// The current line and the offset where it starts; a column is the
+  /// distance from LineStart. No token spans a newline, so only
+  /// skipTrivia() moves them.
+  unsigned Line = 1;
+  size_t LineStart = 0;
 };
 
 /// Every token of \p Source up to and including the Eof or Error token.
